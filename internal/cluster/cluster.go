@@ -224,8 +224,8 @@ func New(opts Options) (*Cluster, error) {
 		// re-advertises an empty summary rather than a stale one.
 		machine := m
 		nh.SetCrashHook(func() {
-			for _, pi := range machine.PS() {
-				machine.Kill(kernel.Creds{}, pi.PID, kernel.SIGKILL)
+			for _, p := range machine.Procs() {
+				machine.Kill(kernel.Creds{}, p.PID, kernel.SIGKILL)
 			}
 			core.DropMachineStore(machine)
 		})

@@ -355,9 +355,11 @@ func A5LoadBalance() (*A5Result, error) {
 			// A migrated hog continues as a NEW process, so completion is
 			// "no process running anywhere", not "the original handles
 			// exited".
+			var procs []*kernel.Proc // allDone scratch
 			allDone := func() bool {
 				for _, name := range c.Names() {
-					for _, p := range c.Machine(name).Procs() {
+					procs = c.Machine(name).AppendProcs(procs[:0])
+					for _, p := range procs {
 						if p.State == kernel.ProcRunning {
 							return false
 						}

@@ -178,13 +178,15 @@ func A13Controller(cfg A13Config) (*A13Result, error) {
 	// that is either the installed binary or a migrated successor (a
 	// restored process's Cmd is its dump image, so the path alone cannot
 	// identify post-move copies; nothing else migrates in this run).
+	var procs []*kernel.Proc // census scratch
 	census := func() (int, map[string]int) {
 		total, per := 0, map[string]int{}
 		for _, hn := range c.Names() {
 			if c.NetHost(hn).Down() {
 				continue
 			}
-			for _, p := range c.Machine(hn).Procs() {
+			procs = c.Machine(hn).AppendProcs(procs[:0])
+			for _, p := range procs {
 				if p.State == kernel.ProcRunning && (p.Cmd == a13Path || p.Migrated) {
 					total++
 					per[hn]++

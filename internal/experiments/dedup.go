@@ -293,13 +293,15 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 		return nil, 0, 0, err
 	}
 
+	var procs []*kernel.Proc // census scratch
 	census := func() (int, map[string]int) {
 		total, per := 0, map[string]int{}
 		for _, hn := range c.Names() {
 			if c.NetHost(hn).Down() {
 				continue
 			}
-			for _, p := range c.Machine(hn).Procs() {
+			procs = c.Machine(hn).AppendProcs(procs[:0])
+			for _, p := range procs {
 				if p.State == kernel.ProcRunning && (p.Cmd == a14Path || p.Migrated) {
 					total++
 					per[hn]++

@@ -214,13 +214,15 @@ func a15Run(cfg A15Config, mode string) (*A15Mode, int64, float64, error) {
 		return nil, 0, 0, err
 	}
 
+	var procs []*kernel.Proc // census scratch
 	census := func() (int, map[string]int) {
 		total, per := 0, map[string]int{}
 		for _, hn := range c.Names() {
 			if c.NetHost(hn).Down() {
 				continue
 			}
-			for _, p := range c.Machine(hn).Procs() {
+			procs = c.Machine(hn).AppendProcs(procs[:0])
+			for _, p := range procs {
 				if p.State == kernel.ProcRunning && (p.Cmd == a15Path || p.Migrated) {
 					total++
 					per[hn]++
@@ -292,13 +294,8 @@ func a15Run(cfg A15Config, mode string) (*A15Mode, int64, float64, error) {
 	}
 	gens := make([]*load.Generator, 0, cfg.Replicas)
 	for i, r := range app.Replicas {
-		var target *kernel.Proc
-		for _, p := range c.Machine(r.Host).Procs() {
-			if p.PID == r.PID {
-				target = p
-			}
-		}
-		if target == nil {
+		target, found := c.Machine(r.Host).FindProc(r.PID)
+		if !found {
 			return nil, 0, 0, fmt.Errorf("replica %d (pid %d) not found on %s", i, r.PID, r.Host)
 		}
 		name := fmt.Sprintf("gen%02d", i)

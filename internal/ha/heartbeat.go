@@ -335,13 +335,18 @@ type StatSource interface {
 	AppendProcStats(now sim.Time, dst []ProcStat) []ProcStat
 }
 
-// machineSource adapts a kernel.Machine to StatSource.
-type machineSource struct{ m *kernel.Machine }
+// machineSource adapts a kernel.Machine to StatSource. procs is the
+// census scratch, reused across intervals like the caller's dst.
+type machineSource struct {
+	m     *kernel.Machine
+	procs []*kernel.Proc
+}
 
-func (s machineSource) HostName() string { return s.m.Name }
-func (s machineSource) RunQueueLen() int { return s.m.Load() }
-func (s machineSource) AppendProcStats(now sim.Time, dst []ProcStat) []ProcStat {
-	for _, p := range s.m.Procs() {
+func (s *machineSource) HostName() string { return s.m.Name }
+func (s *machineSource) RunQueueLen() int { return s.m.Load() }
+func (s *machineSource) AppendProcStats(now sim.Time, dst []ProcStat) []ProcStat {
+	s.procs = s.m.AppendProcs(s.procs[:0])
+	for _, p := range s.procs {
 		if p.State != kernel.ProcRunning || p.VM == nil {
 			continue
 		}
@@ -400,7 +405,7 @@ type Node struct {
 // call Stop to let the engine quiesce (the loops otherwise beacon
 // forever).
 func Start(m *kernel.Machine, host *netsim.Host, cfg Config) (*Node, error) {
-	n, err := StartSource(m.Engine(), host, machineSource{m}, m.Obs, cfg)
+	n, err := StartSource(m.Engine(), host, &machineSource{m: m}, m.Obs, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -168,21 +168,22 @@ func (p *Proc) fork() (int, errno.Errno) {
 	return child.PID, 0
 }
 
-// wait implements wait(2): reap one zombie child, blocking until one
-// exists. A migrated process has left its children behind (§7), so it
-// gets ECHILD here — the documented "undefined results" caveat.
+// wait implements wait(2): reap the lowest-pid zombie child, blocking
+// until one exists. A migrated process has left its children behind
+// (§7), so it gets ECHILD here — the documented "undefined results"
+// caveat.
 func (p *Proc) wait() (int, int, errno.Errno) {
 	p.sysCPU(p.M.Costs.SyscallBase)
 	for {
 		hasChild := false
-		for _, q := range p.M.procs {
+		for _, q := range p.M.live {
 			if q.PPID != p.PID || q == p {
 				continue
 			}
 			hasChild = true
 			if q.State == ProcZombie {
 				q.State = ProcDead
-				delete(p.M.procs, q.PID)
+				p.M.unlink(q)
 				status := q.ExitStatus<<8 | int(q.KilledBy)
 				return q.PID, status, 0
 			}

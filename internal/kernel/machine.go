@@ -108,7 +108,11 @@ type Machine struct {
 	ns      *vfs.Namespace
 	localFS *vfs.MemFS
 
+	// procs is the process table; live holds the same processes ordered
+	// by pid. Pids only grow (SetNextPID only raises the counter), so
+	// newProc appends to live and unlink removes from both.
 	procs    map[int]*Proc
+	live     []*Proc
 	nextPid  int
 	devices  map[vfs.DevID]Device
 	nextDev  vfs.DevID
@@ -243,15 +247,12 @@ func (m *Machine) RegisterProgram(name string, fn HostedProg) {
 }
 
 // Procs returns a snapshot of the live process table, ordered by pid.
-func (m *Machine) Procs() []*Proc {
-	out := make([]*Proc, 0, len(m.procs))
-	for pid := 1; pid < m.nextPid; pid++ {
-		if p, ok := m.procs[pid]; ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+func (m *Machine) Procs() []*Proc { return m.AppendProcs(nil) }
+
+// AppendProcs appends the live process table, ordered by pid, to dst and
+// returns it. The result is a copy: callers may kill or reap processes
+// while they walk it, and a census that reuses dst allocates nothing.
+func (m *Machine) AppendProcs(dst []*Proc) []*Proc { return append(dst, m.live...) }
 
 // FindProc looks up a live process by pid.
 func (m *Machine) FindProc(pid int) (*Proc, bool) {

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"procmig/internal/errno"
 	"procmig/internal/sim"
@@ -217,7 +218,16 @@ func (m *Machine) newProc(creds Creds, cwd string, term *tty.Terminal) *Proc {
 	}
 	p := &Proc{M: m, PID: pid, Creds: creds, CWD: cwd, TTY: term, State: ProcRunning}
 	m.procs[pid] = p
+	m.live = append(m.live, p)
 	return p
+}
+
+// unlink removes a reaped process from the process table.
+func (m *Machine) unlink(p *Proc) {
+	delete(m.procs, p.PID)
+	if i, ok := slices.BinarySearchFunc(m.live, p.PID, func(q *Proc, pid int) int { return q.PID - pid }); ok {
+		m.live = slices.Delete(m.live, i, i+1)
+	}
 }
 
 // run executes body with exit unwinding installed.
@@ -269,7 +279,7 @@ func (p *Proc) finish(ex procExit) {
 	p.VM = nil
 
 	// Reparent children to nobody; they self-reap on exit.
-	for _, q := range m.procs {
+	for _, q := range m.live {
 		if q != p && q.PPID == p.PID {
 			q.PPID = 0
 		}
@@ -278,7 +288,7 @@ func (p *Proc) finish(ex procExit) {
 	if p.PPID == 0 || !ok || parent.State != ProcRunning {
 		// Nobody will wait for us.
 		p.State = ProcDead
-		delete(m.procs, p.PID)
+		m.unlink(p)
 	} else {
 		parent.postSignal(SIGCHLD)
 		parent.childQ.WakeAll()
@@ -458,8 +468,8 @@ type ProcInfo struct {
 
 // PS lists the process table.
 func (m *Machine) PS() []ProcInfo {
-	var out []ProcInfo
-	for _, p := range m.Procs() {
+	out := make([]ProcInfo, 0, len(m.live))
+	for _, p := range m.live {
 		out = append(out, ProcInfo{
 			PID: p.PID, PPID: p.PPID, UID: p.Creds.UID, State: p.State,
 			Cmd: p.Cmd, UTime: p.UTime, STime: p.STime, Started: p.StartedAt,

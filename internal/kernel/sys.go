@@ -252,7 +252,7 @@ func (s *Sys) WaitRestarted(pid int) (int, errno.Errno) {
 		}
 		if child.State == ProcZombie {
 			child.State = ProcDead
-			delete(p.M.procs, pid)
+			p.M.unlink(child)
 			return child.ExitStatus, 0
 		}
 		if child.Migrated && child.State == ProcRunning {

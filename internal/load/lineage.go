@@ -21,6 +21,7 @@ type Lineage struct {
 	pids     map[int]bool // every PID this lineage has worn
 	hosts    map[int]string
 	cur      *kernel.Proc
+	procs    []*kernel.Proc // rescan scratch
 	lastScan sim.Time
 	scanned  bool
 }
@@ -53,7 +54,8 @@ func (l *Lineage) Locate(now sim.Time) (*kernel.Proc, bool) {
 	}
 	l.lastScan, l.scanned = now, true
 	for _, m := range l.machines {
-		for _, p := range m.Procs() {
+		l.procs = m.AppendProcs(l.procs[:0])
+		for _, p := range l.procs {
 			if p.State != kernel.ProcRunning || !p.Migrated || !l.pids[p.OldPID] {
 				continue
 			}

@@ -34,7 +34,7 @@ func (r *runner) census() map[string][]liveCopy {
 		for adopted := true; adopted; {
 			adopted = false
 			for _, hn := range r.c.Names() {
-				for _, p := range r.c.Machine(hn).Procs() {
+				for _, p := range r.procsOn(hn) {
 					if p.Migrated && rf.pids[hp(p.OldHost, p.OldPID)] && !rf.pids[hp(hn, p.PID)] {
 						rf.pids[hp(hn, p.PID)] = true
 						adopted = true
@@ -44,7 +44,7 @@ func (r *runner) census() map[string][]liveCopy {
 		}
 		var copies []liveCopy
 		for _, hn := range r.c.Names() {
-			for _, p := range r.c.Machine(hn).Procs() {
+			for _, p := range r.procsOn(hn) {
 				if p.State == kernel.ProcRunning && rf.pids[hp(hn, p.PID)] {
 					copies = append(copies, liveCopy{host: hn, pid: p.PID})
 				}
@@ -74,7 +74,7 @@ func (r *runner) replicaCensus() map[string][]liveCopy {
 		for adopted := true; adopted; {
 			adopted = false
 			for _, hn := range r.c.Names() {
-				for _, p := range r.c.Machine(hn).Procs() {
+				for _, p := range r.procsOn(hn) {
 					k := hp(hn, p.PID)
 					if ar.pids[k] {
 						continue
@@ -90,7 +90,7 @@ func (r *runner) replicaCensus() map[string][]liveCopy {
 		}
 		var copies []liveCopy
 		for _, hn := range r.c.Names() {
-			for _, p := range r.c.Machine(hn).Procs() {
+			for _, p := range r.procsOn(hn) {
 				if p.State == kernel.ProcRunning && ar.pids[hp(hn, p.PID)] {
 					copies = append(copies, liveCopy{host: hn, pid: p.PID})
 				}

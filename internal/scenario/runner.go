@@ -85,6 +85,15 @@ type runner struct {
 	// gens holds the SLI-plane generators, keyed by LoadSpec name;
 	// iteration always follows sc.Load order.
 	gens map[string]*load.Generator
+	// procs is the census scratch behind procsOn.
+	procs []*kernel.Proc
+}
+
+// procsOn lists host's process table into the runner's scratch slice. The
+// result is a snapshot, valid until the next procsOn call.
+func (r *runner) procsOn(host string) []*kernel.Proc {
+	r.procs = r.c.Machine(host).AppendProcs(r.procs[:0])
+	return r.procs
 }
 
 // Run executes one scenario to quiescence and reports what happened. An
@@ -309,7 +318,7 @@ func (r *runner) drive(tk *sim.Task) error {
 			c.StopHA()
 		}
 		for _, name := range c.Names() {
-			for _, p := range c.Machine(name).Procs() {
+			for _, p := range r.procsOn(name) {
 				c.Machine(name).Kill(kernel.Creds{}, p.PID, kernel.SIGKILL)
 			}
 		}
@@ -802,7 +811,7 @@ func (r *runner) awaitRecovery(tk *sim.Task, ev Event) error {
 // destination. An empty OldHost matches: the plain restart path recovers
 // the source host best-effort only.
 func (r *runner) findDest(out *migOutcome) *kernel.Proc {
-	for _, p := range r.c.Machine(out.To).Procs() {
+	for _, p := range r.procsOn(out.To) {
 		if p.Migrated && p.OldPID == out.srcPID && p.State == kernel.ProcRunning &&
 			(p.OldHost == out.From || p.OldHost == "") {
 			return p
