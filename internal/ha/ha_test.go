@@ -29,6 +29,18 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeExactSize: Encode allocates exactly the encoded size, however
+// long the names — no regrowth, no slack.
+func TestEncodeExactSize(t *testing.T) {
+	hb := &ha.Heartbeat{Host: "a-rather-long-host-name", Seq: 3, Procs: []ha.ProcStat{{PID: 1}},
+		Summaries: []ha.MemberSummary{{Host: "another-long-member-name", Seq: 1}, {Host: "", Suspect: true}}}
+	for _, h := range []*ha.Heartbeat{hb, {Host: "x"}} {
+		if raw := h.Encode(); len(raw) != cap(raw) || len(raw) != len(h.AppendTo(nil)) {
+			t.Fatalf("Encode of %q: len %d cap %d", h.Host, len(raw), cap(raw))
+		}
+	}
+}
+
 func TestDecodeHeartbeatRejects(t *testing.T) {
 	good := (&ha.Heartbeat{Host: "alpha", Seq: 1, Procs: []ha.ProcStat{{PID: 9}}}).Encode()
 	for name, raw := range map[string][]byte{

@@ -132,29 +132,39 @@ func (hb *Heartbeat) AppendTo(b []byte) []byte {
 	return b
 }
 
-// Encode serializes a heartbeat into fresh storage.
+// Encode serializes a heartbeat into fresh storage of exactly its size.
 func (hb *Heartbeat) Encode() []byte {
-	return hb.AppendTo(make([]byte, 0, 20+len(hb.Host)+len(hb.Procs)*procStatWire+len(hb.Summaries)*29))
+	return hb.AppendTo(make([]byte, 0, hb.wireLen()))
+}
+
+// wireLen is the encoded size of hb: what AppendTo appends.
+func (hb *Heartbeat) wireLen() int {
+	n := 4 + len(hb.Host) + 14 + len(hb.Procs)*procStatWire
+	if len(hb.Summaries) > 0 {
+		n += 2
+		for _, s := range hb.Summaries {
+			n += 2 + len(s.Host) + 21
+		}
+	}
+	return n
 }
 
 // DecodeHeartbeat parses a beacon, rejecting bad magic, truncation, and
 // trailing garbage.
 func DecodeHeartbeat(raw []byte) (*Heartbeat, error) {
 	hb := &Heartbeat{}
-	if err := DecodeHeartbeatInto(raw, hb, nil); err != nil {
+	if err := DecodeHeartbeatInto(raw, hb); err != nil {
 		return nil, err
 	}
 	return hb, nil
 }
 
 // DecodeHeartbeatInto parses a beacon into hb, reusing hb's Procs and
-// Summaries storage. names, if non-nil, interns host strings so repeated
-// beacons from known hosts allocate nothing. Counts are validated against
-// the remaining bytes before any allocation, so hostile input cannot
-// demand memory. Bad magic, truncation, and trailing garbage are
-// rejected.
-func DecodeHeartbeatInto(raw []byte, hb *Heartbeat, names map[string]string) error {
-	p, err := decodeHBMain(raw, hb, names)
+// Summaries storage. Counts are validated against the remaining bytes
+// before any allocation, so hostile input cannot demand memory. Bad
+// magic, truncation, and trailing garbage are rejected.
+func DecodeHeartbeatInto(raw []byte, hb *Heartbeat) error {
+	p, err := decodeHBMain(raw, hb, nil)
 	if err != nil {
 		return err
 	}
@@ -170,7 +180,7 @@ func DecodeHeartbeatInto(raw []byte, hb *Heartbeat, names map[string]string) err
 	for i := 0; i < ns; i++ {
 		hl := int(binary.BigEndian.Uint16(raw[p:]))
 		hb.Summaries = append(hb.Summaries, MemberSummary{
-			Host:    internName(names, raw[p+2:p+2+hl]),
+			Host:    string(raw[p+2 : p+2+hl]),
 			Seq:     binary.BigEndian.Uint32(raw[p+2+hl:]),
 			Inc:     binary.BigEndian.Uint32(raw[p+2+hl+4:]),
 			Load:    int(int32(binary.BigEndian.Uint32(raw[p+2+hl+8:]))),
@@ -183,8 +193,9 @@ func DecodeHeartbeatInto(raw []byte, hb *Heartbeat, names map[string]string) err
 }
 
 // decodeHBMain parses the fixed header, host and proc block, returning the
-// offset where the optional summary block begins.
-func decodeHBMain(raw []byte, hb *Heartbeat, names map[string]string) (int, error) {
+// offset where the optional summary block begins. names, if non-nil,
+// interns the host name.
+func decodeHBMain(raw []byte, hb *Heartbeat, names *netsim.Names) (int, error) {
 	if len(raw) < 18 {
 		return 0, errBadHeartbeat
 	}
@@ -253,24 +264,25 @@ func validateSummaries(raw []byte, p int) (int, error) {
 }
 
 // decodeHeartbeatObserve is the hbd hot path: identical wire validation to
-// DecodeHeartbeatInto, but summaries are streamed straight into the
-// membership — one map probe per entry, zero allocations for known hosts —
-// instead of being materialized on the Heartbeat. hb.Summaries is left
-// empty. Returns the number of summaries observed.
-func decodeHeartbeatObserve(raw []byte, hb *Heartbeat, names map[string]string, ms *Membership, now sim.Time) (int, error) {
-	p, err := decodeHBMain(raw, hb, names)
+// DecodeHeartbeatInto, but summaries are streamed straight into ms — one
+// directory probe per entry, zero allocations for known hosts — instead of
+// being materialized on the Heartbeat, and then the beacon itself is
+// observed. The host name is interned in ms's directory and hb.Summaries
+// is left empty. Returns the number of summaries observed; nothing is
+// observed unless the whole message is valid.
+func decodeHeartbeatObserve(raw []byte, hb *Heartbeat, ms *Membership, now sim.Time) (int, error) {
+	p, err := decodeHBMain(raw, hb, ms.dir)
 	if err != nil {
 		return 0, err
 	}
 	hb.Summaries = hb.Summaries[:0]
-	if p == len(raw) {
-		return 0, nil
+	ns := 0
+	if p < len(raw) {
+		if ns, err = validateSummaries(raw, p); err != nil {
+			return 0, err
+		}
+		p += 2
 	}
-	ns, err := validateSummaries(raw, p)
-	if err != nil {
-		return 0, err
-	}
-	p += 2
 	for i := 0; i < ns; i++ {
 		hl := int(binary.BigEndian.Uint16(raw[p:]))
 		age := sim.Duration(binary.BigEndian.Uint64(raw[p+2+hl+12:]))
@@ -282,22 +294,18 @@ func decodeHeartbeatObserve(raw []byte, hb *Heartbeat, names map[string]string, 
 			now-sim.Time(age), now)
 		p += 2 + hl + 21
 	}
+	ms.Observe(hb, now)
 	return ns, nil
 }
 
-// internName maps raw bytes to a canonical string: the map[string]([]byte
-// key) lookup compiles to a no-allocation probe, so known hosts cost
-// nothing after their first beacon.
-func internName(names map[string]string, b []byte) string {
+// internName maps raw bytes to the canonical string in names, so known
+// hosts cost no allocation after their first beacon; a nil directory
+// copies.
+func internName(names *netsim.Names, b []byte) string {
 	if names == nil {
 		return string(b)
 	}
-	if s, ok := names[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	names[s] = s
-	return s
+	return names.Name(names.IDBytes(b))
 }
 
 // Config tunes one node's control-plane daemons. Zero values take the
@@ -385,8 +393,7 @@ type Node struct {
 	encBuf []byte // beacon encode buffer
 	txHB   Heartbeat
 	rxHB   Heartbeat
-	syncHB Heartbeat         // full-state scratch for anti-entropy exchanges
-	names  map[string]string // interned host names for decode
+	syncHB Heartbeat // full-state scratch for anti-entropy exchanges
 
 	cBeaconsOut *obs.Counter
 	cBeaconsIn  *obs.Counter
@@ -428,9 +435,8 @@ func StartSource(eng *sim.Engine, host *netsim.Host, src StatSource, scope *obs.
 	cfg = cfg.withDefaults()
 	n := &Node{
 		src: src, host: host, eng: eng, cfg: cfg,
-		members:    NewMembership(src.HostName(), cfg.SuspectAfter),
+		members:    newMembershipIn(host.Network().Names(), src.HostName(), cfg.SuspectAfter),
 		effSuspect: cfg.SuspectAfter,
-		names:      map[string]string{},
 		inc:        cfg.Incarnation,
 	}
 	if scope != nil {
@@ -459,11 +465,10 @@ func StartSource(eng *sim.Engine, host *netsim.Host, src StatSource, scope *obs.
 // handler never parks, so the scratch cannot be observed mid-update.
 func (n *Node) handleBeacon(t *sim.Task, raw []byte) []byte {
 	now := n.now(t)
-	nsumm, err := decodeHeartbeatObserve(raw, &n.rxHB, n.names, n.members, now)
+	nsumm, err := decodeHeartbeatObserve(raw, &n.rxHB, n.members, now)
 	if err != nil {
 		return nil
 	}
-	n.members.Observe(&n.rxHB, now)
 	if n.cBeaconsIn != nil {
 		n.cBeaconsIn.Inc()
 		n.cSummaries.Add(int64(nsumm))
@@ -678,11 +683,7 @@ func (n *Node) syncExchange(t *sim.Task) {
 		n.members.Suspect(peer, t.Now())
 		return
 	}
-	rnow := n.now(t)
-	if _, err := decodeHeartbeatObserve(resp, &n.rxHB, n.names, n.members, rnow); err != nil {
-		return
-	}
-	n.members.Observe(&n.rxHB, rnow)
+	decodeHeartbeatObserve(resp, &n.rxHB, n.members, n.now(t))
 }
 
 // handleSync is the MemberSyncPort listener: fold the pushed state in,
@@ -691,17 +692,16 @@ func (n *Node) syncExchange(t *sim.Task) {
 // returns, possibly after another sync has reused any shared scratch.
 func (n *Node) handleSync(t *sim.Task, raw []byte) []byte {
 	now := n.now(t)
-	if _, err := decodeHeartbeatObserve(raw, &n.rxHB, n.names, n.members, now); err != nil {
+	if _, err := decodeHeartbeatObserve(raw, &n.rxHB, n.members, now); err != nil {
 		return nil
 	}
-	n.members.Observe(&n.rxHB, now)
 	n.syncHB.Host = n.src.HostName()
 	n.syncHB.Seq = n.seq
 	n.syncHB.Inc = n.inc
 	n.syncHB.Load = n.src.RunQueueLen()
 	n.syncHB.Procs = n.syncHB.Procs[:0]
 	n.syncHB.Summaries = n.members.AppendSummaries(n.syncHB.Summaries[:0], now)
-	return n.syncHB.AppendTo(nil)
+	return n.syncHB.Encode()
 }
 
 // ceilLog2 returns ⌈log₂ n⌉ (0 for n ≤ 1).

@@ -1,8 +1,10 @@
 package ha
 
 import (
+	"slices"
 	"sort"
 
+	"procmig/internal/netsim"
 	"procmig/internal/sim"
 )
 
@@ -14,22 +16,32 @@ import (
 // partitioned (the guardian arbitrates before acting) and a fresh member
 // may have just crashed.
 //
-// The table is built for 1,000-host clusters: states are updated in place
-// (no per-beacon allocation once a member is known), reads go through
+// The table is built for 1,000-host clusters. Members are keyed by dense
+// IDs from a host-name directory (netsim.Names) that all the nodes of one
+// network share, so each name is stored and hashed in one place rather
+// than once per node: member state is a value slice indexed by ID, and the
+// roster and news queues hold IDs. States are updated in place (no
+// per-beacon allocation once a member is known), reads go through
 // ViewInto/Get without copying proc lists anew each call, and a news
 // queue plus rotation cursor select which members to gossip about in O(k).
+// IDs never leave the host: the API and the wire speak host names.
 type Membership struct {
 	self         string
+	selfID       int32
+	dir          *netsim.Names
 	suspectAfter sim.Duration
-	members      map[string]*memberState
-	byName       []*memberState // sorted by host name; also the rotation order
-	cursor       int            // rotation position in byName for gossip coverage
-	cursorSeed   int            // per-host rotation offset (desynchronizes laps)
-	cursorInit   bool
-	freshGrant   sim.Duration // liveness advance that counts as fresh news
-	budget       int          // per-item retransmission budget (0 = default)
-	gen          uint64       // bumped on every state change
-	mark         uint64       // appendGossip call stamp, for O(1) dedupe
+	// states is indexed by directory ID; entries for names this table has
+	// not met yet are zero with known unset. It grows only in state, so
+	// a *memberState is valid until the next state call.
+	states     []memberState
+	byName     []int32 // IDs of known members, sorted by host name; also the rotation order
+	cursor     int     // rotation position in byName for gossip coverage
+	cursorSeed int     // per-host rotation offset (desynchronizes laps)
+	cursorInit bool
+	freshGrant sim.Duration // liveness advance that counts as fresh news
+	budget     int          // per-item retransmission budget (0 = default)
+	gen        uint64       // bumped on every state change
+	mark       uint64       // appendGossip call stamp, for O(1) dedupe
 	// Two FIFOs of members with unspent retransmission budget. Explicit
 	// queues — not a recency scan — are what make dissemination survive
 	// scale: a node digests hundreds of summaries per interval, so any
@@ -52,23 +64,20 @@ const (
 )
 
 type newsQueue struct {
-	q    []*memberState
+	q    []int32 // member IDs
 	head int
 }
 
 type memberState struct {
-	host string
-	seq  uint32
+	seq uint32
 	// inc is the freshest incarnation seen for this member. A revived host
 	// bumps its incarnation, so receivers can tell a rebirth (sequence
 	// numbers restart, old suspicion void) from a stale replay of the old
 	// life: any beacon or summary carrying a lower incarnation is ignored
 	// outright, and a higher one resets seq and clears suspicion exactly
 	// once, however many stale suspect summaries are still circulating.
-	inc       uint32
-	load      int
-	procs     []ProcStat
-	lastHeard sim.Time
+	inc   uint32
+	known bool // the table has met this member
 	// suspected is the probe-failure verdict: set when a beacon to the
 	// member failed (or a peer gossiped that it did), cleared only by
 	// proof of life newer than the suspicion — a direct beacon, or an
@@ -79,6 +88,10 @@ type memberState struct {
 	// never resurrect a dead member and observers see at most one
 	// alive→suspect transition per real failure.
 	suspected bool
+	inQueue   [2]bool // sitting in qs[qUrgent] / qs[qJoin]
+	load      int
+	procs     []ProcStat
+	lastHeard sim.Time
 	suspectAt sim.Time
 	censusAt  sim.Time // when procs was last refreshed by a direct beacon
 	markGen   uint64   // last appendGossip call that included this member
@@ -91,7 +104,6 @@ type memberState struct {
 	// they flow on the rotation channel, and budgeting them would keep all
 	// N members contending for the bounded fresh-news scan window.
 	gossipLeft int
-	inQueue    [2]bool // sitting in qs[qUrgent] / qs[qJoin]
 }
 
 // defaultGossipBudget is how many beacons re-broadcast one piece of fresh
@@ -127,14 +139,21 @@ type ViewBuf struct {
 	procs   []ProcStat
 }
 
-// NewMembership creates an empty table for the named host.
+// NewMembership creates an empty table for the named host, with a
+// name directory of its own.
 func NewMembership(self string, suspectAfter sim.Duration) *Membership {
-	ms := &Membership{
+	return newMembershipIn(netsim.NewNames(), self, suspectAfter)
+}
+
+// newMembershipIn creates an empty table whose members are keyed by IDs
+// from dir — the network's directory, for a node's table.
+func newMembershipIn(dir *netsim.Names, self string, suspectAfter sim.Duration) *Membership {
+	return &Membership{
 		self:         self,
+		selfID:       dir.ID(self),
+		dir:          dir,
 		suspectAfter: suspectAfter,
-		members:      map[string]*memberState{},
 	}
-	return ms
 }
 
 // SetSuspectAfter adjusts the suspicion timeout (the node layer scales it
@@ -165,20 +184,35 @@ func (ms *Membership) Gen() uint64 { return ms.gen }
 // self-observed).
 func (ms *Membership) Len() int { return len(ms.byName) }
 
-func (ms *Membership) state(host string) *memberState {
-	st, ok := ms.members[host]
-	if !ok {
-		st = &memberState{host: host}
-		ms.members[host] = st
-		i := sort.Search(len(ms.byName), func(i int) bool { return ms.byName[i].host >= host })
-		ms.byName = append(ms.byName, nil)
-		copy(ms.byName[i+1:], ms.byName[i:])
-		ms.byName[i] = st
-		if i < ms.cursor {
-			ms.cursor++
-		}
+// state returns the entry for id and whether the table already knew the
+// member, adding it to the name-ordered roster on first sight.
+func (ms *Membership) state(id int32) (st *memberState, known bool) {
+	if n := ms.dir.Len(); n > len(ms.states) {
+		ms.states = append(ms.states, make([]memberState, n-len(ms.states))...)
 	}
-	return st
+	st = &ms.states[id]
+	if st.known {
+		return st, true
+	}
+	st.known = true
+	host := ms.dir.Name(id)
+	i := sort.Search(len(ms.byName), func(i int) bool { return ms.dir.Name(ms.byName[i]) >= host })
+	ms.byName = slices.Insert(ms.byName, i, id)
+	if i < ms.cursor {
+		ms.cursor++
+	}
+	return st, false
+}
+
+// lookup returns the named member's ID and entry; the entry is nil if
+// the table has not met it. It never interns: reading about a stranger
+// leaves no trace.
+func (ms *Membership) lookup(host string) (int32, *memberState) {
+	id, ok := ms.dir.Lookup(host)
+	if !ok || int(id) >= len(ms.states) || !ms.states[id].known {
+		return 0, nil
+	}
+	return id, &ms.states[id]
 }
 
 // grant (re)arms st's retransmission budget and enqueues it for the next
@@ -188,11 +222,12 @@ func (ms *Membership) state(host string) *memberState {
 // a member may sit in both (a known host that gets suspected while its
 // join is still paying out): the budget is shared and a summary always
 // carries current state, so the duplicate costs a slot, never a lie.
-func (ms *Membership) grant(which int, st *memberState) {
+func (ms *Membership) grant(which int, id int32) {
+	st := &ms.states[id]
 	st.gossipLeft = ms.gossipBudget()
 	if !st.inQueue[which] {
 		st.inQueue[which] = true
-		ms.qs[which].q = append(ms.qs[which].q, st)
+		ms.qs[which].q = append(ms.qs[which].q, id)
 	}
 }
 
@@ -204,21 +239,21 @@ func (ms *Membership) grant(which int, st *memberState) {
 func (ms *Membership) drain(which int, dst []MemberSummary, base, p int, now sim.Time) []MemberSummary {
 	nq := &ms.qs[which]
 	for len(dst)-base < p/2 && nq.head < len(nq.q) {
-		st := nq.q[nq.head]
+		id := nq.q[nq.head]
+		st := &ms.states[id]
 		if st.markGen == ms.mark {
 			break
 		}
-		nq.q[nq.head] = nil
 		nq.head++
-		if st.host == ms.self || st.gossipLeft <= 0 {
+		if id == ms.selfID || st.gossipLeft <= 0 {
 			st.inQueue[which] = false
 			continue
 		}
 		st.gossipLeft--
 		st.markGen = ms.mark
-		dst = append(dst, ms.summarize(st, now))
+		dst = append(dst, ms.summarize(id, now))
 		if st.gossipLeft > 0 {
-			nq.q = append(nq.q, st)
+			nq.q = append(nq.q, id)
 		} else {
 			st.inQueue[which] = false
 		}
@@ -240,10 +275,8 @@ func (ms *Membership) drain(which int, dst []MemberSummary, base, p int, now sim
 // but never roll the advertised state backward. The proc list is copied
 // into the member's own storage, so callers may reuse hb.Procs.
 func (ms *Membership) Observe(hb *Heartbeat, now sim.Time) {
-	st, known := ms.members[hb.Host]
-	if !known {
-		st = ms.state(hb.Host)
-	}
+	id := ms.dir.ID(hb.Host)
+	st, known := ms.state(id)
 	if known && hb.Inc < st.inc {
 		return // a delayed beacon from a previous life proves nothing
 	}
@@ -255,7 +288,7 @@ func (ms *Membership) Observe(hb *Heartbeat, now sim.Time) {
 		st.inc = hb.Inc
 		st.seq = 0
 		if known {
-			ms.grant(qUrgent, st)
+			ms.grant(qUrgent, id)
 		}
 		ms.gen++
 	}
@@ -263,12 +296,12 @@ func (ms *Membership) Observe(hb *Heartbeat, now sim.Time) {
 		// A direct beacon is proof of life: refute, and make the good news
 		// spread as fast as the suspicion did.
 		st.suspected = false
-		ms.grant(qUrgent, st)
+		ms.grant(qUrgent, id)
 		ms.gen++
 	}
 	if now > st.lastHeard {
 		if !known {
-			ms.grant(qJoin, st) // a join is news; a routine beacon is not
+			ms.grant(qJoin, id) // a join is news; a routine beacon is not
 		}
 		st.lastHeard = now
 		ms.gen++
@@ -290,13 +323,14 @@ func (ms *Membership) Suspect(host string, now sim.Time) {
 	if host == ms.self {
 		return
 	}
-	st := ms.state(host)
+	id := ms.dir.ID(host)
+	st, _ := ms.state(id)
 	if st.suspected {
 		return
 	}
 	st.suspected = true
 	st.suspectAt = now
-	ms.grant(qUrgent, st)
+	ms.grant(qUrgent, id)
 	ms.gen++
 }
 
@@ -310,30 +344,24 @@ func (ms *Membership) ObserveSummary(s MemberSummary, heard, now sim.Time) {
 	if s.Host == ms.self {
 		return // self-liveness comes from beaconing, not hearsay
 	}
-	st, known := ms.members[s.Host]
-	if !known {
-		st = ms.state(s.Host)
-	}
-	ms.observeSummary(st, known, s.Seq, s.Inc, s.Load, s.Suspect, heard, now)
+	ms.observeSummary(ms.dir.ID(s.Host), s.Seq, s.Inc, s.Load, s.Suspect, heard, now)
 }
 
 // ObserveSummaryBytes is ObserveSummary keyed by the raw wire bytes of the
-// host name: the map probe compiles to a no-allocation lookup, so in steady
-// state (every host already known) processing a summary allocates nothing.
-// This is the hbd hot path — at N=1000 a node digests hundreds of
-// thousands of summaries per simulated second.
+// host name, resolved to an ID in the shared directory by a no-allocation
+// probe: in steady state (every host already known) processing a summary
+// allocates nothing. This is the hbd hot path — at N=1000 a node digests
+// hundreds of thousands of summaries per simulated second.
 func (ms *Membership) ObserveSummaryBytes(host []byte, seq, inc uint32, load int, suspect bool, heard, now sim.Time) {
-	if string(host) == ms.self {
+	id := ms.dir.IDBytes(host)
+	if id == ms.selfID {
 		return // self-liveness comes from beaconing, not hearsay
 	}
-	st, known := ms.members[string(host)]
-	if !known {
-		st = ms.state(string(host))
-	}
-	ms.observeSummary(st, known, seq, inc, load, suspect, heard, now)
+	ms.observeSummary(id, seq, inc, load, suspect, heard, now)
 }
 
-func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint32, load int, suspect bool, heard, now sim.Time) {
+func (ms *Membership) observeSummary(id int32, seq, inc uint32, load int, suspect bool, heard, now sim.Time) {
+	st, known := ms.state(id)
 	if heard > now {
 		heard = now
 	}
@@ -349,7 +377,7 @@ func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint3
 		st.seq = 0
 		if st.suspected && !suspect {
 			st.suspected = false
-			ms.grant(qUrgent, st)
+			ms.grant(qUrgent, id)
 		}
 		ms.gen++
 	}
@@ -361,14 +389,14 @@ func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint3
 		if !st.suspected && heard > st.lastHeard {
 			st.suspected = true
 			st.suspectAt = heard
-			ms.grant(qUrgent, st)
+			ms.grant(qUrgent, id)
 			ms.gen++
 		}
 		return
 	}
 	if st.suspected && heard > st.suspectAt {
 		st.suspected = false
-		ms.grant(qUrgent, st)
+		ms.grant(qUrgent, id)
 		ms.gen++
 	}
 	if heard > st.lastHeard {
@@ -382,7 +410,7 @@ func (ms *Membership) observeSummary(st *memberState, known bool, seq, inc uint3
 		// suspicions, refutations) need.
 		if !known || sim.Duration(heard-st.lastHeard) >= ms.fresh() {
 			if !known {
-				ms.grant(qJoin, st)
+				ms.grant(qJoin, id)
 			}
 			ms.gen++
 		}
@@ -415,16 +443,17 @@ func (ms *Membership) appendGossip(dst []MemberSummary, p int, now sim.Time) []M
 		ms.cursor = ms.cursorSeed % len(ms.byName)
 	}
 	for scanned := 0; len(dst)-base < p && scanned < len(ms.byName); scanned++ {
-		st := ms.byName[ms.cursor]
+		id := ms.byName[ms.cursor]
+		st := &ms.states[id]
 		ms.cursor++
 		if ms.cursor >= len(ms.byName) {
 			ms.cursor = 0
 		}
-		if st.host == ms.self || st.markGen == ms.mark {
+		if id == ms.selfID || st.markGen == ms.mark {
 			continue
 		}
 		st.markGen = ms.mark
-		dst = append(dst, ms.summarize(st, now))
+		dst = append(dst, ms.summarize(id, now))
 	}
 	return dst
 }
@@ -446,8 +475,8 @@ func (ms *Membership) gossipBudget() int {
 // AppendSummaries appends one summary per known member — self included —
 // in name order: the full-state payload for anti-entropy sync.
 func (ms *Membership) AppendSummaries(dst []MemberSummary, now sim.Time) []MemberSummary {
-	for _, st := range ms.byName {
-		dst = append(dst, ms.summarize(st, now))
+	for _, id := range ms.byName {
+		dst = append(dst, ms.summarize(id, now))
 	}
 	return dst
 }
@@ -455,7 +484,8 @@ func (ms *Membership) AppendSummaries(dst []MemberSummary, now sim.Time) []Membe
 // summarize builds the gossip entry for one member. For a live member the
 // age dates its freshest sign of life; for a suspected one it dates the
 // suspicion itself, so receivers can order it against their own evidence.
-func (ms *Membership) summarize(st *memberState, now sim.Time) MemberSummary {
+func (ms *Membership) summarize(id int32, now sim.Time) MemberSummary {
+	st := &ms.states[id]
 	since := st.lastHeard
 	if st.suspected {
 		since = st.suspectAt
@@ -464,21 +494,21 @@ func (ms *Membership) summarize(st *memberState, now sim.Time) MemberSummary {
 	if age < 0 {
 		age = 0
 	}
-	return MemberSummary{Host: st.host, Seq: st.seq, Inc: st.inc, Load: st.load, Age: age, Suspect: st.suspected}
+	return MemberSummary{Host: ms.dir.Name(id), Seq: st.seq, Inc: st.inc, Load: st.load, Age: age, Suspect: st.suspected}
 }
 
 // Alive reports whether the named member has beaconed recently enough.
 // Hosts never heard from are not alive.
 func (ms *Membership) Alive(host string, now sim.Time) bool {
-	st, ok := ms.members[host]
-	return ok && !st.suspected && sim.Duration(now-st.lastHeard) <= ms.suspectAfter
+	_, st := ms.lookup(host)
+	return st != nil && !st.suspected && sim.Duration(now-st.lastHeard) <= ms.suspectAfter
 }
 
 // LastHeard returns when the named member last beaconed (0, false if
 // never).
 func (ms *Membership) LastHeard(host string) (sim.Time, bool) {
-	st, ok := ms.members[host]
-	if !ok {
+	_, st := ms.lookup(host)
+	if st == nil {
 		return 0, false
 	}
 	return st.lastHeard, true
@@ -489,12 +519,12 @@ func (ms *Membership) LastHeard(host string) (sim.Time, bool) {
 // from that member is observed, so callers must copy anything they need
 // across a park.
 func (ms *Membership) Get(host string, now sim.Time) (Member, bool) {
-	st, ok := ms.members[host]
-	if !ok {
+	id, st := ms.lookup(host)
+	if st == nil {
 		return Member{}, false
 	}
 	return Member{
-		Host: st.host, Seq: st.seq, Inc: st.inc, Load: st.load, Procs: st.procs,
+		Host: ms.dir.Name(id), Seq: st.seq, Inc: st.inc, Load: st.load, Procs: st.procs,
 		CensusAt:  st.censusAt,
 		LastHeard: st.lastHeard,
 		Alive:     !st.suspected && sim.Duration(now-st.lastHeard) <= ms.suspectAfter,
@@ -509,8 +539,8 @@ func (ms *Membership) Get(host string, now sim.Time) (Member, bool) {
 // At steady state the call performs zero allocations.
 func (ms *Membership) ViewInto(now sim.Time, buf *ViewBuf) []Member {
 	total := 0
-	for _, st := range ms.byName {
-		total += len(st.procs)
+	for _, id := range ms.byName {
+		total += len(ms.states[id].procs)
 	}
 	// Size the arena up front: growing it mid-fill would reallocate and
 	// strand earlier rows' Procs headers on the old backing array.
@@ -519,11 +549,12 @@ func (ms *Membership) ViewInto(now sim.Time, buf *ViewBuf) []Member {
 	}
 	procs := buf.procs[:0]
 	out := buf.members[:0]
-	for _, st := range ms.byName {
+	for _, id := range ms.byName {
+		st := &ms.states[id]
 		start := len(procs)
 		procs = append(procs, st.procs...)
 		out = append(out, Member{
-			Host: st.host, Seq: st.seq, Inc: st.inc, Load: st.load,
+			Host: ms.dir.Name(id), Seq: st.seq, Inc: st.inc, Load: st.load,
 			Procs:     procs[start:len(procs):len(procs)],
 			CensusAt:  st.censusAt,
 			LastHeard: st.lastHeard,

@@ -278,12 +278,21 @@ func (p *Proc) finish(ex procExit) {
 	p.State = ProcZombie
 	p.VM = nil
 
-	// Reparent children to nobody; they self-reap on exit.
-	for _, q := range m.live {
-		if q != p && q.PPID == p.PID {
-			q.PPID = 0
+	// Reparent children to nobody: a running child self-reaps on exit, and
+	// one that is already a zombie has nobody left to wait for it, so it
+	// is reaped here.
+	m.live = slices.DeleteFunc(m.live, func(q *Proc) bool {
+		if q == p || q.PPID != p.PID {
+			return false
 		}
-	}
+		q.PPID = 0
+		if q.State != ProcZombie {
+			return false
+		}
+		q.State = ProcDead
+		delete(m.procs, q.PID)
+		return true
+	})
 	parent, ok := m.procs[p.PPID]
 	if p.PPID == 0 || !ok || parent.State != ProcRunning {
 		// Nobody will wait for us.

@@ -35,6 +35,20 @@ func checkIndex(m *Machine) string {
 	return ""
 }
 
+// checkOrphanZombies reports a zombie nobody can reap any more: one
+// whose parent is gone or has itself exited ("" when there is none).
+func checkOrphanZombies(m *Machine) string {
+	for _, q := range m.Procs() {
+		if q.State != ProcZombie {
+			continue
+		}
+		if parent, ok := m.procs[q.PPID]; !ok || parent.State != ProcRunning {
+			return fmt.Sprintf("pid %d is a zombie with no running parent (ppid %d)", q.PID, q.PPID)
+		}
+	}
+	return ""
+}
+
 // puppetOp is one command the property test's driver mails to a puppet.
 type puppetOp struct {
 	kind int // opSpawn...opRestProc
@@ -155,7 +169,10 @@ func TestProcIndexMatchesTable(t *testing.T) {
 					mail[p.PID] = append(mail[p.PID], puppetOp{kind: opRestProc})
 				}
 				tk.Sleep(100 * sim.Millisecond)
-				if bad = checkIndex(m); bad != "" {
+				if bad = checkIndex(m); bad == "" {
+					bad = checkOrphanZombies(m)
+				}
+				if bad != "" {
 					bad = fmt.Sprintf("step %d: %s", step, bad)
 					return
 				}
@@ -219,6 +236,51 @@ func TestWaitReapsLowestPidFirst(t *testing.T) {
 		if !slices.Equal(reaped, spawned) || !slices.IsSorted(reaped) {
 			t.Fatalf("rep %d: reaped %v, want ascending %v", rep, reaped, spawned)
 		}
+	}
+}
+
+// TestParentExitReapsZombieChildren: children that exit before their
+// parent, which never waits, are reaped when the parent exits — the
+// process table holds no zombie afterwards.
+func TestParentExitReapsZombieChildren(t *testing.T) {
+	w := newWorld(t, Config{TrackNames: true})
+	w.installHosted(t, "/bin/kid", "kid", func(sys *Sys, args []string) int { return 0 })
+	var kids []int
+	zombies := 0
+	w.installHosted(t, "/bin/parent", "parent", func(sys *Sys, args []string) int {
+		for i := 0; i < 3; i++ {
+			pid, e := sys.Spawn("/bin/kid", []string{"/bin/kid"}, nil)
+			if e != 0 {
+				return 1
+			}
+			kids = append(kids, pid)
+		}
+		sys.Sleep(sim.Second)
+		for _, pid := range kids {
+			if q, ok := sys.Machine().FindProc(pid); ok && q.State == ProcZombie {
+				zombies++
+			}
+		}
+		return 0
+	})
+	p := w.spawn(t, "/bin/parent")
+	w.run(t)
+	if p.ExitStatus != 0 || zombies != len(kids) || len(kids) != 3 {
+		t.Fatalf("parent status %d, %d of %d children zombies before the parent exited",
+			p.ExitStatus, zombies, len(kids))
+	}
+	for _, q := range w.m.Procs() {
+		if q.State == ProcZombie {
+			t.Fatalf("pid %d (ppid %d) left a zombie after its parent exited", q.PID, q.PPID)
+		}
+	}
+	for _, pid := range kids {
+		if _, ok := w.m.FindProc(pid); ok {
+			t.Fatalf("child pid %d still in the table", pid)
+		}
+	}
+	if bad := checkIndex(w.m); bad != "" {
+		t.Fatal(bad)
 	}
 }
 

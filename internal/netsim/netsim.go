@@ -24,6 +24,7 @@ type Handler func(t *sim.Task, req []byte) []byte
 type Network struct {
 	eng      *sim.Engine
 	hosts    map[string]*Host
+	names    *Names       // every host name, attached or only heard of
 	Latency  sim.Duration // per message
 	ByteTime sim.Duration // per payload byte
 	// Timeout is the sender-side deadline: how long a caller waits before
@@ -115,7 +116,7 @@ type HostStats struct {
 // protocol overhead; latency covers media access and protocol processing.
 func New(eng *sim.Engine, latency, byteTime sim.Duration) *Network {
 	return &Network{
-		eng: eng, hosts: map[string]*Host{},
+		eng: eng, hosts: map[string]*Host{}, names: NewNames(),
 		Latency: latency, ByteTime: byteTime,
 		Timeout: sim.Second,
 	}
@@ -123,6 +124,10 @@ func New(eng *sim.Engine, latency, byteTime sim.Duration) *Network {
 
 // Engine returns the simulation engine the network runs on.
 func (n *Network) Engine() *sim.Engine { return n.eng }
+
+// Names returns the network's host-name directory, shared by every host's
+// tables about the cluster.
+func (n *Network) Names() *Names { return n.names }
 
 // Host is one attached machine.
 type Host struct {
@@ -161,6 +166,7 @@ func (n *Network) AddHost(name string) *Host {
 		portMsgsIn:  map[int]int64{},
 	}
 	n.hosts[name] = h
+	n.names.ID(name)
 	return h
 }
 
