@@ -43,17 +43,23 @@ const headerSize = 16
 
 // Encode serializes the executable, big-endian like the 68000 family.
 func (e *Exec) Encode() []byte {
-	var b bytes.Buffer
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint16(hdr[0:], OMAGIC)
-	binary.BigEndian.PutUint16(hdr[2:], uint16(e.ISA))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(e.Text)))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(e.Data)))
-	binary.BigEndian.PutUint32(hdr[12:], e.Entry)
-	b.Write(hdr[:])
-	b.Write(e.Text)
-	b.Write(e.Data)
-	return b.Bytes()
+	raw, data := NewImage(e.ISA, e.Entry, e.Text, len(e.Data))
+	copy(data, e.Data)
+	return raw
+}
+
+// NewImage allocates an executable's encoding in one exact-size buffer
+// with the header and text filled in. It returns the buffer and its data
+// segment window, zeroed, so a caller can build the data in place.
+func NewImage(isa vm.Level, entry uint32, text []byte, dataLen int) (raw, data []byte) {
+	raw = make([]byte, headerSize+len(text)+dataLen)
+	binary.BigEndian.PutUint16(raw[0:], OMAGIC)
+	binary.BigEndian.PutUint16(raw[2:], uint16(isa))
+	binary.BigEndian.PutUint32(raw[4:], uint32(len(text)))
+	binary.BigEndian.PutUint32(raw[8:], uint32(dataLen))
+	binary.BigEndian.PutUint32(raw[12:], entry)
+	copy(raw[headerSize:], text)
+	return raw, raw[headerSize+len(text):]
 }
 
 // Decode parses an executable produced by Encode.

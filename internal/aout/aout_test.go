@@ -19,6 +19,18 @@ func TestExecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocatesOnce pins Encode to one exact-size allocation.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	e := &Exec{ISA: vm.ISA1, Entry: 4, Text: make([]byte, 3000), Data: make([]byte, 70000)}
+	var raw []byte
+	if n := testing.AllocsPerRun(20, func() { raw = e.Encode() }); n != 1 {
+		t.Fatalf("Encode allocates %v times, want 1", n)
+	}
+	if cap(raw) != headerSize+len(e.Text)+len(e.Data) {
+		t.Fatalf("Encode buffer cap %d, want exactly %d", cap(raw), headerSize+len(e.Text)+len(e.Data))
+	}
+}
+
 func TestDecodeRejectsBadMagic(t *testing.T) {
 	raw := (&Exec{ISA: vm.ISA1}).Encode()
 	raw[0] ^= 0xff

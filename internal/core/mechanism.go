@@ -61,11 +61,12 @@ func Dump(p *kernel.Proc) errno.Errno {
 	}
 
 	// a.out: a real executable whose data segment is the current data.
+	// Encode below copies the segments before anything can run.
 	exe := &aout.Exec{
 		ISA:   vm.MinISA(p.VM.Text),
 		Entry: p.ExecEntry,
-		Text:  append([]byte(nil), p.VM.Text...),
-		Data:  append([]byte(nil), p.VM.Data...),
+		Text:  p.VM.Text,
+		Data:  p.VM.Data,
 	}
 
 	costs := m.Costs

@@ -1361,8 +1361,9 @@ func (a *ImageAssembler) Spool() (aoutRaw, filesRaw, stackRaw []byte, err error)
 
 	// Pages are absolute-addressed; carve the data segment and the stack
 	// back out of them. Pages never sent are unmaterialized, i.e. zero.
+	// The data segment is built in place inside the a.out encoding.
+	aoutRaw, data := aout.NewImage(a.hello.ISA, a.hello.Entry, a.text, int(a.hello.DataLen))
 	dataBase := vm.DataBase(int(a.hello.TextLen))
-	data := make([]byte, a.hello.DataLen)
 	stack := make([]byte, a.stackLen)
 	stackBase := uint32(vm.StackTop - a.stackLen)
 	for pg, contents := range a.pages {
@@ -1371,7 +1372,5 @@ func (a *ImageAssembler) Spool() (aoutRaw, filesRaw, stackRaw []byte, err error)
 		overlay(stack, stackBase, contents, base)
 	}
 	sf.Stack = stack
-
-	exe := &aout.Exec{ISA: a.hello.ISA, Entry: a.hello.Entry, Text: a.text, Data: data}
-	return exe.Encode(), a.filesRaw, sf.Encode(), nil
+	return aoutRaw, a.filesRaw, sf.Encode(), nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"procmig/internal/aout"
@@ -63,6 +64,21 @@ func TestStreamStatusRoundTrip(t *testing.T) {
 	if DecodeStreamStatus(nil) != -1 || DecodeStreamStatus([]byte{1, 2, 3}) != -1 {
 		t.Fatal("malformed status not a failure")
 	}
+}
+
+var allocSink []byte
+
+// allocBytes reports the heap bytes one call of f allocates, averaged
+// over 50 calls.
+func allocBytes(f func()) uint64 {
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / calls
 }
 
 // TestStreamImageRoundTrip drives SendRound over a real netsim stream into
@@ -195,6 +211,25 @@ func TestStreamImageRoundTrip(t *testing.T) {
 	}
 	if gotFF.Host != "src" || gotFF.CWD != "/n/src/home" {
 		t.Fatalf("files file = %+v", gotFF)
+	}
+	// Spool builds the data segment inside the a.out it returns, so it
+	// allocates what building that a.out in one piece, carving the stack,
+	// and decoding and re-encoding the stack file allocate, and no second
+	// copy of the image.
+	perSpool := allocBytes(func() {
+		if _, _, _, err := sink.asm.Spool(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	parts := allocBytes(func() {
+		allocSink, _ = aout.NewImage(c.ISA, 0, text, len(data))
+		sf, _ := DecodeStack(sink.asm.sfRaw)
+		sf.Stack = make([]byte, len(wantStack))
+		allocSink = sf.Encode()
+	})
+	if perSpool > parts+512 {
+		t.Fatalf("Spool allocates %d bytes per call; its a.out, stack and stack file take %d (a.out %d bytes)",
+			perSpool, parts, len(aoutRaw))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

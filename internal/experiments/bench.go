@@ -20,8 +20,11 @@ type CoreBench struct {
 	ChurnEventsPerSec float64 `json:"churn_events_per_sec"`
 	ChurnEventAllocs  int64   `json:"churn_event_allocs"`
 	AllocsPerEvent    float64 `json:"churn_allocs_per_event"`
-	A6WallS           float64 `json:"a6_wall_s"`
-	A9WallS           float64 `json:"a9_wall_s"`
+	// ChurnInlineResumes counts churn dispatches that woke the task that
+	// had just parked, so no goroutine switch was needed. Deterministic.
+	ChurnInlineResumes int64   `json:"churn_inline_resumes"`
+	A6WallS            float64 `json:"a6_wall_s"`
+	A9WallS            float64 `json:"a9_wall_s"`
 }
 
 // benchChurn is the same schedule/wake/sleep storm BenchmarkEngineChurn
@@ -69,11 +72,12 @@ func BenchCore() (*CoreBench, error) {
 	wall := time.Since(start).Seconds()
 	st := eng.Stats()
 	r := &CoreBench{
-		ChurnEvents:       st.Dispatched,
-		ChurnWallS:        wall,
-		ChurnEventsPerSec: float64(st.Dispatched) / wall,
-		ChurnEventAllocs:  st.EventAllocs,
-		AllocsPerEvent:    float64(st.EventAllocs) / float64(st.Dispatched),
+		ChurnEvents:        st.Dispatched,
+		ChurnWallS:         wall,
+		ChurnEventsPerSec:  float64(st.Dispatched) / wall,
+		ChurnEventAllocs:   st.EventAllocs,
+		AllocsPerEvent:     float64(st.EventAllocs) / float64(st.Dispatched),
+		ChurnInlineResumes: st.InlineResumes,
 	}
 
 	start = time.Now()

@@ -86,7 +86,8 @@ func (p *Proc) execveInner(path string, args, env []string) errno.Errno {
 	}
 	p.sysCPU(sim.Duration(len(exe.Text)+len(exe.Data)) * m.Costs.ExecPerByte)
 
-	cpu := vm.New(exe.Text, append([]byte(nil), exe.Data...), m.ISA)
+	// Decode copied the segments out of raw, so the CPU can own them.
+	cpu := vm.New(exe.Text, exe.Data, m.ISA)
 	cpu.PC = exe.Entry
 	if m.restProcFlag {
 		// Called from rest_proc: allocate exactly the dumped process's

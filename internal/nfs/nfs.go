@@ -12,9 +12,6 @@
 package nfs
 
 import (
-	"bytes"
-	"encoding/gob"
-
 	"procmig/internal/errno"
 	"procmig/internal/netsim"
 	"procmig/internal/sim"
@@ -50,18 +47,6 @@ type response struct {
 	N       int
 }
 
-func encode(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic("nfs: encode: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decode(raw []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
-}
-
 // ServerCosts models server-side work per operation.
 type ServerCosts struct {
 	OpCPU       sim.Duration // request decode + fs work
@@ -74,8 +59,8 @@ type ServerCosts struct {
 func Serve(host *netsim.Host, fs vfs.BaseFS, cpu *sim.Resource, costs ServerCosts) error {
 	return host.Listen(Port, func(t *sim.Task, raw []byte) []byte {
 		var req request
-		if err := decode(raw, &req); err != nil {
-			return encode(&response{Err: errno.EINVAL})
+		if err := decodeRequest(raw, &req); err != nil {
+			return encodeResponse(&response{Err: errno.EINVAL})
 		}
 		if cpu != nil && t != nil && costs.OpCPU > 0 {
 			cpu.Use(t, costs.OpCPU, nil)
@@ -85,7 +70,7 @@ func Serve(host *netsim.Host, fs vfs.BaseFS, cpu *sim.Resource, costs ServerCost
 			n := len(resp.Data) + len(req.Data)
 			t.Sleep(costs.DiskLatency + sim.Duration(n)*costs.DiskPerByte)
 		}
-		return encode(resp)
+		return encodeResponse(resp)
 	})
 }
 
@@ -196,12 +181,12 @@ func NewClient(host *netsim.Host, server string) *Client {
 func (c *Client) Server() string { return c.server }
 
 func (c *Client) call(req *request) (*response, error) {
-	raw, err := c.host.Call(nil, c.server, Port, encode(req))
+	raw, err := c.host.Call(nil, c.server, Port, encodeRequest(req))
 	if err != nil {
 		return nil, err
 	}
 	var resp response
-	if err := decode(raw, &resp); err != nil {
+	if err := decodeResponse(raw, &resp); err != nil {
 		return nil, errno.EIO
 	}
 	if resp.Err != 0 {

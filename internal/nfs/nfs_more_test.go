@@ -23,7 +23,7 @@ func TestMalformedRequestRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp response
-	if err := decode(raw, &resp); err != nil {
+	if err := decodeResponse(raw, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Err != errno.EINVAL {

@@ -2,10 +2,17 @@
 //
 // The engine owns a virtual clock and a set of actors (Tasks). Each actor is
 // a goroutine, but exactly one actor runs at any moment: an actor runs until
-// it parks in an engine primitive (Sleep, Wait, ...), at which point control
-// hands back to the engine loop, which advances the clock to the next event
-// and resumes the corresponding actor. Ties are broken by event sequence
-// number, so a given program produces identical virtual timings on every run.
+// it parks in an engine primitive (Sleep, Wait, ...). The parking actor then
+// takes the dispatch step itself: it advances the clock to the next event
+// and hands control straight to that event's actor. When the next event
+// wakes the parking actor itself it simply returns, with no goroutine
+// switch; otherwise control passes in one switch, actor to actor. Ties are
+// broken by event sequence number, so a given program produces identical
+// virtual timings on every run.
+//
+// RunUntil starts the first dispatch and then only waits for the run to
+// stop: every actor exited, the next event lies past the limit, or the
+// remaining actors are all blocked (a *StallError).
 //
 // The event queue is built for cluster-scale runs (thousands of actors,
 // millions of events): a concrete binary heap ordered on (time, seq) with no
@@ -76,6 +83,9 @@ type Stats struct {
 	Canceled    int64 // events discarded after cancellation
 	EventAllocs int64 // event structs newly allocated (freelist misses)
 	HeapMax     int   // high-water mark of the pending-timer heap
+	// InlineResumes counts dispatches that woke the task that had just
+	// parked, so it carried on without a goroutine switch.
+	InlineResumes int64
 }
 
 // Engine is a discrete-event simulator.
@@ -93,7 +103,8 @@ type Engine struct {
 	runqHead int
 	free     []*event // event freelist
 	seq      int64
-	handoff  chan struct{} // actor -> engine: "I parked or exited"
+	limit    Time       // the running RunUntil's horizon
+	stop     chan error // last dispatcher -> RunUntil: the run is over
 	nlive    int
 	tasks    map[*Task]struct{}
 	current  *Task
@@ -110,8 +121,8 @@ func (e *Engine) Current() *Task { return e.current }
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{
-		handoff: make(chan struct{}),
-		tasks:   make(map[*Task]struct{}),
+		stop:  make(chan error),
+		tasks: make(map[*Task]struct{}),
 	}
 }
 
@@ -254,19 +265,33 @@ func (e *Engine) GoAfter(name string, d Duration, fn func(*Task)) *Task {
 	e.nlive++
 	e.tasks[t] = struct{}{}
 	e.schedule(t, e.now+Time(d))
-	go func() {
-		<-t.resume
-		fn(t)
-		e.nlive--
-		delete(e.tasks, t)
-		e.handoff <- struct{}{}
-	}()
+	go t.run(fn)
 	return t
 }
 
-// park hands control to the engine and blocks until resumed.
+// run is the task goroutine: wait for the first dispatch, run the body,
+// then pass control on as the task exits.
+func (t *Task) run(fn func(*Task)) {
+	<-t.resume
+	fn(t)
+	e := t.eng
+	e.nlive--
+	delete(e.tasks, t)
+	next, cause, err := e.next()
+	e.pass(next, cause, err)
+}
+
+// park runs the dispatch step on the parking task's own goroutine. If the
+// next event is this task's own wake it returns at once; otherwise it hands
+// control to the next task (or ends the run) and blocks until resumed.
 func (t *Task) park() wakeCause {
-	t.eng.handoff <- struct{}{}
+	e := t.eng
+	next, cause, err := e.next()
+	if next == t {
+		e.stats.InlineResumes++
+		return cause
+	}
+	e.pass(next, cause, err)
 	return <-t.resume
 }
 
@@ -395,81 +420,112 @@ func (s *StallError) Error() string {
 func (e *Engine) Run() error { return e.RunUntil(Time(1)<<62 - 1) }
 
 // RunUntil drives the simulation until no live tasks remain or the clock
-// would pass limit. Events beyond limit stay queued.
+// would pass limit. Events beyond limit stay queued. The calling goroutine
+// makes the first dispatch; from then on the tasks dispatch each other and
+// the last one to park or exit reports why the run stopped.
 func (e *Engine) RunUntil(limit Time) error {
-	for {
-		var ev *event
-		// Due heap events first: anything stamped with the current instant
-		// was scheduled before the clock reached it, so it outranks (has a
-		// lower seq than) every run-queue entry.
-		for len(e.heap) > 0 && e.heap[0].canceled {
-			e.stats.Canceled++
-			e.freeEvent(e.heapPop())
-		}
-		if len(e.heap) > 0 && e.heap[0].t == e.now {
-			ev = e.heapPop()
-		} else {
-			// Then the same-instant run queue, in FIFO (= seq) order.
-			for e.runqHead < len(e.runq) {
-				c := e.runq[e.runqHead]
-				e.runq[e.runqHead] = nil
-				e.runqHead++
-				if c.canceled {
-					e.stats.Canceled++
-					e.freeEvent(c)
-					continue
-				}
-				ev = c
-				break
-			}
-			if ev == nil {
-				// Instant exhausted: reset the run queue and advance the
-				// clock to the next pending timer.
-				e.runq = e.runq[:0]
-				e.runqHead = 0
-				if len(e.heap) == 0 {
-					if e.nlive > 0 {
-						return &StallError{At: e.now, Blocked: e.blockedNames()}
-					}
-					return nil
-				}
-				if e.heap[0].t > limit {
-					return nil
-				}
-				ev = e.heapPop()
-				e.now = ev.t
-			}
-		}
-		cause := wakeTimer
-		if ev.fromQueue {
-			cause = wakeQueue
-		}
-		task := ev.task
-		e.freeEvent(ev)
-		e.stats.Dispatched++
-		e.current = task
-		task.resume <- cause
-		<-e.handoff
-		e.current = nil
-		// A long same-instant storm leaves a drained prefix in the run
-		// queue; compact it so the slice does not grow without bound.
-		if e.runqHead > 1024 && e.runqHead*2 >= len(e.runq) {
-			n := copy(e.runq, e.runq[e.runqHead:])
-			clearTail := e.runq[n:]
-			for i := range clearTail {
-				clearTail[i] = nil
-			}
-			e.runq = e.runq[:n]
-			e.runqHead = 0
-		}
+	e.limit = limit
+	next, cause, err := e.next()
+	if next == nil {
+		return err
 	}
+	next.resume <- cause
+	return <-e.stop
 }
 
-func (e *Engine) blockedNames() []string {
+// pass hands control to next, or, when there is none, ends the run with
+// err. The caller must block or exit right after: from here on another
+// goroutine owns the engine.
+func (e *Engine) pass(next *Task, cause wakeCause, err error) {
+	if next != nil {
+		next.resume <- cause
+		return
+	}
+	e.stop <- err
+}
+
+// next is the dispatch step. It pops the next event due at or before the
+// run's limit, advancing the clock to it, marks its task current and
+// returns it with the wake cause. When no such event remains it clears
+// Current and returns a nil task with RunUntil's result: nil when every
+// task has exited or the next event lies beyond the limit, a *StallError
+// when live tasks remain with nothing pending.
+func (e *Engine) next() (*Task, wakeCause, error) {
+	// A long same-instant storm leaves a drained prefix in the run queue;
+	// compact it so the slice does not grow without bound.
+	if e.runqHead > 1024 && e.runqHead*2 >= len(e.runq) {
+		e.compactRunq()
+	}
+	var ev *event
+	// Due heap events first: anything stamped with the current instant
+	// was scheduled before the clock reached it, so it outranks (has a
+	// lower seq than) every run-queue entry.
+	for len(e.heap) > 0 && e.heap[0].canceled {
+		e.stats.Canceled++
+		e.freeEvent(e.heapPop())
+	}
+	if len(e.heap) > 0 && e.heap[0].t == e.now {
+		ev = e.heapPop()
+	} else {
+		// Then the same-instant run queue, in FIFO (= seq) order.
+		for e.runqHead < len(e.runq) {
+			c := e.runq[e.runqHead]
+			e.runq[e.runqHead] = nil
+			e.runqHead++
+			if c.canceled {
+				e.stats.Canceled++
+				e.freeEvent(c)
+				continue
+			}
+			ev = c
+			break
+		}
+		if ev == nil {
+			// Instant exhausted: reset the run queue and advance the
+			// clock to the next pending timer.
+			e.runq = e.runq[:0]
+			e.runqHead = 0
+			if len(e.heap) == 0 {
+				e.current = nil
+				if e.nlive > 0 {
+					return nil, 0, e.stall()
+				}
+				return nil, 0, nil
+			}
+			if e.heap[0].t > e.limit {
+				e.current = nil
+				return nil, 0, nil
+			}
+			ev = e.heapPop()
+			e.now = ev.t
+		}
+	}
+	cause := wakeTimer
+	if ev.fromQueue {
+		cause = wakeQueue
+	}
+	task := ev.task
+	e.freeEvent(ev)
+	e.stats.Dispatched++
+	e.current = task
+	return task, cause, nil
+}
+
+func (e *Engine) compactRunq() {
+	n := copy(e.runq, e.runq[e.runqHead:])
+	clear(e.runq[n:])
+	e.runq = e.runq[:n]
+	e.runqHead = 0
+}
+
+// stall reports every live task as blocked at the current instant. It is
+// kept out of next so the dispatch step's frame stays small: next runs on
+// every task's own stack.
+func (e *Engine) stall() error {
 	var names []string
 	for t := range e.tasks {
 		names = append(names, t.name)
 	}
 	sort.Strings(names)
-	return names
+	return &StallError{At: e.now, Blocked: names}
 }
