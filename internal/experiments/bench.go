@@ -21,7 +21,7 @@ type CoreBench struct {
 	ChurnEventAllocs  int64   `json:"churn_event_allocs"`
 	AllocsPerEvent    float64 `json:"churn_allocs_per_event"`
 	// ChurnInlineResumes counts churn dispatches that woke the task that
-	// had just parked, so no goroutine switch was needed. Deterministic.
+	// had just parked, so no coroutine switch was needed. Deterministic.
 	ChurnInlineResumes int64   `json:"churn_inline_resumes"`
 	A6WallS            float64 `json:"a6_wall_s"`
 	A9WallS            float64 `json:"a9_wall_s"`

@@ -88,6 +88,9 @@ type Heartbeat struct {
 // procStatWire is the encoded size of one ProcStat.
 const procStatWire = 4 + 4 + 8 + 8
 
+// summaryWire is the encoded size of one MemberSummary, less its host name.
+const summaryWire = 2 + 4 + 4 + 4 + 8 + 1
+
 var errBadHeartbeat = errors.New("ha: bad heartbeat")
 
 // hbAck is the shared one-byte delivery ack — never mutated, so every
@@ -100,6 +103,19 @@ var hbAck = []byte{1}
 // keeping the byte stream identical to the pre-gossip format otherwise
 // (old decoders read new proc-only beacons and vice versa).
 func (hb *Heartbeat) AppendTo(b []byte) []byte {
+	b = hb.appendMain(b)
+	if len(hb.Summaries) > 0 {
+		b = binary.BigEndian.AppendUint16(b, uint16(len(hb.Summaries)))
+		for _, s := range hb.Summaries {
+			b = appendSummary(b, s)
+		}
+	}
+	return b
+}
+
+// appendMain appends the fixed header, host and proc block: everything
+// but the optional summary block.
+func (hb *Heartbeat) appendMain(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, HeartbeatMagic)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(hb.Host)))
 	b = append(b, hb.Host...)
@@ -113,23 +129,22 @@ func (hb *Heartbeat) AppendTo(b []byte) []byte {
 		b = binary.BigEndian.AppendUint64(b, uint64(ps.Age))
 		b = binary.BigEndian.AppendUint64(b, uint64(ps.CPU))
 	}
-	if len(hb.Summaries) > 0 {
-		b = binary.BigEndian.AppendUint16(b, uint16(len(hb.Summaries)))
-		for _, s := range hb.Summaries {
-			b = binary.BigEndian.AppendUint16(b, uint16(len(s.Host)))
-			b = append(b, s.Host...)
-			b = binary.BigEndian.AppendUint32(b, s.Seq)
-			b = binary.BigEndian.AppendUint32(b, s.Inc)
-			b = binary.BigEndian.AppendUint32(b, uint32(s.Load))
-			b = binary.BigEndian.AppendUint64(b, uint64(s.Age))
-			var flag byte
-			if s.Suspect {
-				flag = 1
-			}
-			b = append(b, flag)
-		}
-	}
 	return b
+}
+
+// appendSummary appends one summary-block entry.
+func appendSummary(b []byte, s MemberSummary) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(s.Host)))
+	b = append(b, s.Host...)
+	b = binary.BigEndian.AppendUint32(b, s.Seq)
+	b = binary.BigEndian.AppendUint32(b, s.Inc)
+	b = binary.BigEndian.AppendUint32(b, uint32(s.Load))
+	b = binary.BigEndian.AppendUint64(b, uint64(s.Age))
+	var flag byte
+	if s.Suspect {
+		flag = 1
+	}
+	return append(b, flag)
 }
 
 // Encode serializes a heartbeat into fresh storage of exactly its size.
@@ -139,14 +154,19 @@ func (hb *Heartbeat) Encode() []byte {
 
 // wireLen is the encoded size of hb: what AppendTo appends.
 func (hb *Heartbeat) wireLen() int {
-	n := 4 + len(hb.Host) + 14 + len(hb.Procs)*procStatWire
+	n := hb.mainLen()
 	if len(hb.Summaries) > 0 {
 		n += 2
 		for _, s := range hb.Summaries {
-			n += 2 + len(s.Host) + 21
+			n += summaryWire + len(s.Host)
 		}
 	}
 	return n
+}
+
+// mainLen is the encoded size of what appendMain appends.
+func (hb *Heartbeat) mainLen() int {
+	return 4 + len(hb.Host) + 14 + len(hb.Procs)*procStatWire
 }
 
 // DecodeHeartbeat parses a beacon, rejecting bad magic, truncation, and
@@ -393,7 +413,6 @@ type Node struct {
 	encBuf []byte // beacon encode buffer
 	txHB   Heartbeat
 	rxHB   Heartbeat
-	syncHB Heartbeat // full-state scratch for anti-entropy exchanges
 
 	cBeaconsOut *obs.Counter
 	cBeaconsIn  *obs.Counter
@@ -665,15 +684,7 @@ func (n *Node) beaconLoop(t *sim.Task) {
 // stops it once the roster is complete, so its steady-state cost is zero.
 func (n *Node) syncExchange(t *sim.Task) {
 	peer := n.peers[int(n.eng.Rand()%uint64(len(n.peers)))]
-	now := t.Now()
-	n.syncHB.Host = n.src.HostName()
-	n.syncHB.Seq = n.seq
-	n.syncHB.Inc = n.inc
-	n.syncHB.Load = n.src.RunQueueLen()
-	n.syncHB.Procs = n.syncHB.Procs[:0]
-	n.syncHB.Summaries = n.members.AppendSummaries(n.syncHB.Summaries[:0], now)
-	raw := n.syncHB.AppendTo(n.encBuf[:0])
-	n.encBuf = raw
+	raw := n.encodeSync(t.Now())
 	if n.cSyncs != nil {
 		n.cSyncs.Inc()
 	}
@@ -686,22 +697,31 @@ func (n *Node) syncExchange(t *sim.Task) {
 	decodeHeartbeatObserve(resp, &n.rxHB, n.members, n.now(t))
 }
 
+// encodeSync encodes this node's full member state into the node's encode
+// buffer: the push half of push-pull.
+func (n *Node) encodeSync(now sim.Time) []byte {
+	hdr := n.syncHeader()
+	n.encBuf = n.members.appendSync(n.encBuf[:0], &hdr, now)
+	return n.encBuf
+}
+
+// syncHeader is the header of this node's anti-entropy payloads: a beacon
+// carrying no procs.
+func (n *Node) syncHeader() Heartbeat {
+	return Heartbeat{Host: n.src.HostName(), Seq: n.seq, Inc: n.inc, Load: n.src.RunQueueLen()}
+}
+
 // handleSync is the MemberSyncPort listener: fold the pushed state in,
 // then reply with everything we know — the pull half of push-pull. The
-// reply is freshly allocated: the caller reads it after this handler
-// returns, possibly after another sync has reused any shared scratch.
+// reply is freshly allocated at exactly its size: the caller reads it
+// after a park, possibly after another sync has reused any shared scratch.
 func (n *Node) handleSync(t *sim.Task, raw []byte) []byte {
 	now := n.now(t)
 	if _, err := decodeHeartbeatObserve(raw, &n.rxHB, n.members, now); err != nil {
 		return nil
 	}
-	n.syncHB.Host = n.src.HostName()
-	n.syncHB.Seq = n.seq
-	n.syncHB.Inc = n.inc
-	n.syncHB.Load = n.src.RunQueueLen()
-	n.syncHB.Procs = n.syncHB.Procs[:0]
-	n.syncHB.Summaries = n.members.AppendSummaries(n.syncHB.Summaries[:0], now)
-	return n.syncHB.Encode()
+	hdr := n.syncHeader()
+	return n.members.appendSync(make([]byte, 0, n.members.syncLen(&hdr)), &hdr, now)
 }
 
 // ceilLog2 returns ⌈log₂ n⌉ (0 for n ≤ 1).

@@ -1,6 +1,7 @@
 package ha
 
 import (
+	"encoding/binary"
 	"slices"
 	"sort"
 
@@ -19,22 +20,29 @@ import (
 // The table is built for 1,000-host clusters. Members are keyed by dense
 // IDs from a host-name directory (netsim.Names) that all the nodes of one
 // network share, so each name is stored and hashed in one place rather
-// than once per node: member state is a value slice indexed by ID, and the
-// roster and news queues hold IDs. States are updated in place (no
-// per-beacon allocation once a member is known), reads go through
-// ViewInto/Get without copying proc lists anew each call, and a news
-// queue plus rotation cursor select which members to gossip about in O(k).
-// IDs never leave the host: the API and the wire speak host names.
+// than once per node: member state is two value slices indexed by ID, and
+// the roster and news queues hold IDs. Each entry is split by heat: a
+// 32-byte hot record (liveness, suspicion, seq, incarnation, load) that
+// every summary touches, two to a cache line, and a cold record (proc
+// census, gossip bookkeeping) that only direct beacons and piggyback
+// selection touch. States are updated in place (no per-beacon allocation
+// once a member is known), reads go through ViewInto/Get without copying
+// proc lists anew each call, and a news queue plus rotation cursor select
+// which members to gossip about in O(k). IDs never leave the host: the
+// API and the wire speak host names.
 type Membership struct {
 	self         string
 	selfID       int32
 	dir          *netsim.Names
 	suspectAfter sim.Duration
-	// states is indexed by directory ID; entries for names this table has
-	// not met yet are zero with known unset. It grows only in state, so
-	// a *memberState is valid until the next state call.
+	// states and cold are indexed by directory ID; entries for names this
+	// table has not met yet are zero with known unset. They grow only in
+	// state, so a *memberState or *memberCold is valid until the next
+	// state call.
 	states     []memberState
+	cold       []memberCold
 	byName     []int32 // IDs of known members, sorted by host name; also the rotation order
+	nameBytes  int     // total length of the names in byName, for sync sizing
 	cursor     int     // rotation position in byName for gossip coverage
 	cursorSeed int     // per-host rotation offset (desynchronizes laps)
 	cursorInit bool
@@ -68,8 +76,13 @@ type newsQueue struct {
 	head int
 }
 
+// memberState is the hot half of a member's entry: everything a summary
+// or a liveness read touches. It is 32 bytes, so a summary about a member
+// costs one cache line; memberCold holds the rest.
 type memberState struct {
-	seq uint32
+	lastHeard sim.Time
+	suspectAt sim.Time
+	seq       uint32
 	// inc is the freshest incarnation seen for this member. A revived host
 	// bumps its incarnation, so receivers can tell a rebirth (sequence
 	// numbers restart, old suspicion void) from a stale replay of the old
@@ -77,7 +90,8 @@ type memberState struct {
 	// outright, and a higher one resets seq and clears suspicion exactly
 	// once, however many stale suspect summaries are still circulating.
 	inc   uint32
-	known bool // the table has met this member
+	load  int32 // run-queue length, 32 bits as on the wire
+	known bool  // the table has met this member
 	// suspected is the probe-failure verdict: set when a beacon to the
 	// member failed (or a peer gossiped that it did), cleared only by
 	// proof of life newer than the suspicion — a direct beacon, or an
@@ -88,13 +102,14 @@ type memberState struct {
 	// never resurrect a dead member and observers see at most one
 	// alive→suspect transition per real failure.
 	suspected bool
-	inQueue   [2]bool // sitting in qs[qUrgent] / qs[qJoin]
-	load      int
-	procs     []ProcStat
-	lastHeard sim.Time
-	suspectAt sim.Time
-	censusAt  sim.Time // when procs was last refreshed by a direct beacon
-	markGen   uint64   // last appendGossip call that included this member
+}
+
+// memberCold is the cold half of a member's entry: the proc census, which
+// only direct beacons refresh, and the piggyback bookkeeping.
+type memberCold struct {
+	procs    []ProcStat
+	censusAt sim.Time // when procs was last refreshed by a direct beacon
+	markGen  uint64   // last appendGossip call that included this member
 	// gossipLeft is the remaining retransmission budget for this member's
 	// latest news: granted on state changes — a join, a suspicion, a
 	// refutation — and spent once per beacon the member is summarized in.
@@ -104,6 +119,7 @@ type memberState struct {
 	// they flow on the rotation channel, and budgeting them would keep all
 	// N members contending for the bounded fresh-news scan window.
 	gossipLeft int
+	inQueue    [2]bool // sitting in qs[qUrgent] / qs[qJoin]
 }
 
 // defaultGossipBudget is how many beacons re-broadcast one piece of fresh
@@ -189,6 +205,7 @@ func (ms *Membership) Len() int { return len(ms.byName) }
 func (ms *Membership) state(id int32) (st *memberState, known bool) {
 	if n := ms.dir.Len(); n > len(ms.states) {
 		ms.states = append(ms.states, make([]memberState, n-len(ms.states))...)
+		ms.cold = append(ms.cold, make([]memberCold, n-len(ms.cold))...)
 	}
 	st = &ms.states[id]
 	if st.known {
@@ -198,6 +215,7 @@ func (ms *Membership) state(id int32) (st *memberState, known bool) {
 	host := ms.dir.Name(id)
 	i := sort.Search(len(ms.byName), func(i int) bool { return ms.dir.Name(ms.byName[i]) >= host })
 	ms.byName = slices.Insert(ms.byName, i, id)
+	ms.nameBytes += len(host)
 	if i < ms.cursor {
 		ms.cursor++
 	}
@@ -223,10 +241,10 @@ func (ms *Membership) lookup(host string) (int32, *memberState) {
 // join is still paying out): the budget is shared and a summary always
 // carries current state, so the duplicate costs a slot, never a lie.
 func (ms *Membership) grant(which int, id int32) {
-	st := &ms.states[id]
-	st.gossipLeft = ms.gossipBudget()
-	if !st.inQueue[which] {
-		st.inQueue[which] = true
+	c := &ms.cold[id]
+	c.gossipLeft = ms.gossipBudget()
+	if !c.inQueue[which] {
+		c.inQueue[which] = true
 		ms.qs[which].q = append(ms.qs[which].q, id)
 	}
 }
@@ -240,22 +258,22 @@ func (ms *Membership) drain(which int, dst []MemberSummary, base, p int, now sim
 	nq := &ms.qs[which]
 	for len(dst)-base < p/2 && nq.head < len(nq.q) {
 		id := nq.q[nq.head]
-		st := &ms.states[id]
-		if st.markGen == ms.mark {
+		c := &ms.cold[id]
+		if c.markGen == ms.mark {
 			break
 		}
 		nq.head++
-		if id == ms.selfID || st.gossipLeft <= 0 {
-			st.inQueue[which] = false
+		if id == ms.selfID || c.gossipLeft <= 0 {
+			c.inQueue[which] = false
 			continue
 		}
-		st.gossipLeft--
-		st.markGen = ms.mark
+		c.gossipLeft--
+		c.markGen = ms.mark
 		dst = append(dst, ms.summarize(id, now))
-		if st.gossipLeft > 0 {
+		if c.gossipLeft > 0 {
 			nq.q = append(nq.q, id)
 		} else {
-			st.inQueue[which] = false
+			c.inQueue[which] = false
 		}
 	}
 	if nq.head == len(nq.q) {
@@ -310,9 +328,10 @@ func (ms *Membership) Observe(hb *Heartbeat, now sim.Time) {
 		return
 	}
 	st.seq = hb.Seq
-	st.load = hb.Load
-	st.procs = append(st.procs[:0], hb.Procs...)
-	st.censusAt = now
+	st.load = int32(hb.Load)
+	c := &ms.cold[id]
+	c.procs = append(c.procs[:0], hb.Procs...)
+	c.censusAt = now
 	ms.gen++
 }
 
@@ -418,7 +437,7 @@ func (ms *Membership) observeSummary(id int32, seq, inc uint32, load int, suspec
 	}
 	if !known || seq > st.seq {
 		st.seq = seq
-		st.load = load
+		st.load = int32(load)
 		ms.gen++
 	}
 }
@@ -444,15 +463,15 @@ func (ms *Membership) appendGossip(dst []MemberSummary, p int, now sim.Time) []M
 	}
 	for scanned := 0; len(dst)-base < p && scanned < len(ms.byName); scanned++ {
 		id := ms.byName[ms.cursor]
-		st := &ms.states[id]
+		c := &ms.cold[id]
 		ms.cursor++
 		if ms.cursor >= len(ms.byName) {
 			ms.cursor = 0
 		}
-		if id == ms.selfID || st.markGen == ms.mark {
+		if id == ms.selfID || c.markGen == ms.mark {
 			continue
 		}
-		st.markGen = ms.mark
+		c.markGen = ms.mark
 		dst = append(dst, ms.summarize(id, now))
 	}
 	return dst
@@ -481,6 +500,32 @@ func (ms *Membership) AppendSummaries(dst []MemberSummary, now sim.Time) []Membe
 	return dst
 }
 
+// appendSync encodes an anti-entropy payload straight from the table:
+// hdr's header and procs, then a summary block of every known member in
+// name order. The bytes are exactly those of hdr with Summaries set to
+// AppendSummaries(nil, now), without materializing the summaries; hdr's
+// own Summaries are ignored.
+func (ms *Membership) appendSync(b []byte, hdr *Heartbeat, now sim.Time) []byte {
+	b = hdr.appendMain(b)
+	if len(ms.byName) == 0 {
+		return b
+	}
+	b = binary.BigEndian.AppendUint16(b, uint16(len(ms.byName)))
+	for _, id := range ms.byName {
+		b = appendSummary(b, ms.summarize(id, now))
+	}
+	return b
+}
+
+// syncLen is the size of appendSync's encoding for hdr.
+func (ms *Membership) syncLen(hdr *Heartbeat) int {
+	n := hdr.mainLen()
+	if len(ms.byName) > 0 {
+		n += 2 + len(ms.byName)*summaryWire + ms.nameBytes
+	}
+	return n
+}
+
 // summarize builds the gossip entry for one member. For a live member the
 // age dates its freshest sign of life; for a suspected one it dates the
 // suspicion itself, so receivers can order it against their own evidence.
@@ -494,7 +539,7 @@ func (ms *Membership) summarize(id int32, now sim.Time) MemberSummary {
 	if age < 0 {
 		age = 0
 	}
-	return MemberSummary{Host: ms.dir.Name(id), Seq: st.seq, Inc: st.inc, Load: st.load, Age: age, Suspect: st.suspected}
+	return MemberSummary{Host: ms.dir.Name(id), Seq: st.seq, Inc: st.inc, Load: int(st.load), Age: age, Suspect: st.suspected}
 }
 
 // Alive reports whether the named member has beaconed recently enough.
@@ -523,9 +568,10 @@ func (ms *Membership) Get(host string, now sim.Time) (Member, bool) {
 	if st == nil {
 		return Member{}, false
 	}
+	c := &ms.cold[id]
 	return Member{
-		Host: ms.dir.Name(id), Seq: st.seq, Inc: st.inc, Load: st.load, Procs: st.procs,
-		CensusAt:  st.censusAt,
+		Host: ms.dir.Name(id), Seq: st.seq, Inc: st.inc, Load: int(st.load), Procs: c.procs,
+		CensusAt:  c.censusAt,
 		LastHeard: st.lastHeard,
 		Alive:     !st.suspected && sim.Duration(now-st.lastHeard) <= ms.suspectAfter,
 		Suspected: st.suspected,
@@ -540,7 +586,7 @@ func (ms *Membership) Get(host string, now sim.Time) (Member, bool) {
 func (ms *Membership) ViewInto(now sim.Time, buf *ViewBuf) []Member {
 	total := 0
 	for _, id := range ms.byName {
-		total += len(ms.states[id].procs)
+		total += len(ms.cold[id].procs)
 	}
 	// Size the arena up front: growing it mid-fill would reallocate and
 	// strand earlier rows' Procs headers on the old backing array.
@@ -550,13 +596,13 @@ func (ms *Membership) ViewInto(now sim.Time, buf *ViewBuf) []Member {
 	procs := buf.procs[:0]
 	out := buf.members[:0]
 	for _, id := range ms.byName {
-		st := &ms.states[id]
+		st, c := &ms.states[id], &ms.cold[id]
 		start := len(procs)
-		procs = append(procs, st.procs...)
+		procs = append(procs, c.procs...)
 		out = append(out, Member{
-			Host: ms.dir.Name(id), Seq: st.seq, Inc: st.inc, Load: st.load,
+			Host: ms.dir.Name(id), Seq: st.seq, Inc: st.inc, Load: int(st.load),
 			Procs:     procs[start:len(procs):len(procs)],
-			CensusAt:  st.censusAt,
+			CensusAt:  c.censusAt,
 			LastHeard: st.lastHeard,
 			Alive:     !st.suspected && sim.Duration(now-st.lastHeard) <= ms.suspectAfter,
 			Suspected: st.suspected,

@@ -18,14 +18,15 @@ import (
 const membershipReplayDigest = "47f3b1403b79d079"
 
 func TestMembershipReplayGolden(t *testing.T) {
-	if got := membershipReplay(); got != membershipReplayDigest {
+	if got := membershipReplay(nil); got != membershipReplayDigest {
 		t.Fatalf("membership replay digest = %s, want %s", got, membershipReplayDigest)
 	}
 }
 
 // membershipReplay runs the scripted workload and returns the FNV-64a
-// digest of everything the table emitted, in hex.
-func membershipReplay() string {
+// digest of everything the table emitted, in hex. visit, if non-nil, sees
+// the table after every step.
+func membershipReplay(visit func(ms *Membership, now sim.Time)) string {
 	const hosts = 50
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 { // splitmix64
@@ -114,6 +115,9 @@ func membershipReplay() string {
 			for _, m := range ms.ViewInto(now, &buf) {
 				writeMember(h, "view", step, m)
 			}
+		}
+		if visit != nil {
+			visit(ms, now)
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The tests below pin the direct hand-off: the parking task dispatches the
-// next event itself, and RunUntil only starts the first dispatch and waits
-// for the run to stop.
+// The tests below pin the dispatch loop: the parking task runs the dispatch
+// step itself and carries on without a switch when it woke itself; any
+// other dispatch goes back to RunUntil, which resumes that task.
 
 func TestInlineResumesSingleSleeper(t *testing.T) {
 	e := NewEngine()
@@ -19,7 +19,7 @@ func TestInlineResumesSingleSleeper(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Every Sleep wakes the sleeper itself; only the start (dispatched by
+	// Every Sleep wakes the sleeper itself; only the start (resumed by
 	// RunUntil) needs a switch.
 	st := e.Stats()
 	if st.InlineResumes != 100 || st.Dispatched != 101 {
@@ -128,7 +128,7 @@ func TestLastTaskExitEndsRun(t *testing.T) {
 			sawCurrent = e.Current()
 			order = append(order, "child")
 		})
-		// parent exits here and hands off to the child's start.
+		// parent exits here; RunUntil then starts the child.
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -1,18 +1,22 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine owns a virtual clock and a set of actors (Tasks). Each actor is
-// a goroutine, but exactly one actor runs at any moment: an actor runs until
-// it parks in an engine primitive (Sleep, Wait, ...). The parking actor then
-// takes the dispatch step itself: it advances the clock to the next event
-// and hands control straight to that event's actor. When the next event
-// wakes the parking actor itself it simply returns, with no goroutine
-// switch; otherwise control passes in one switch, actor to actor. Ties are
+// The engine owns a virtual clock and a set of actors (Tasks). Each actor's
+// body runs as a runtime coroutine (iter.Pull), and exactly one actor runs
+// at any moment: an actor runs until it parks in an engine primitive
+// (Sleep, Wait, ...). The parking actor then takes the dispatch step
+// itself: it advances the clock to the next event, and when that event
+// wakes the parking actor again it simply returns, with no switch at all.
+// Otherwise it yields the dispatch to the driver, the goroutine that called
+// RunUntil, which resumes the woken actor's coroutine. A coroutine switch
+// is a direct goroutine-to-goroutine switch on one thread: it never goes
+// through the scheduler's run queue or wakes another processor. Ties are
 // broken by event sequence number, so a given program produces identical
 // virtual timings on every run.
 //
-// RunUntil starts the first dispatch and then only waits for the run to
-// stop: every actor exited, the next event lies past the limit, or the
-// remaining actors are all blocked (a *StallError).
+// RunUntil drives the run until it stops: every actor exited, the next
+// event lies past the limit, or the remaining actors are all blocked (a
+// *StallError). A panic inside an actor surfaces from RunUntil with its
+// original value.
 //
 // The event queue is built for cluster-scale runs (thousands of actors,
 // millions of events): a concrete binary heap ordered on (time, seq) with no
@@ -20,9 +24,9 @@
 // run queue so Yield/Wake storms at the current instant never touch the heap.
 // Engine.Stats exposes the resulting counters for benchmarks.
 //
-// All primitives must be called from an actor goroutine; calling them from
-// outside (including from the goroutine running Engine.Run) corrupts the
-// handoff protocol.
+// All primitives must be called from inside an actor; calling them from
+// outside (including from the goroutine running Engine.RunUntil) corrupts
+// the dispatch loop.
 package sim
 
 import (
@@ -84,7 +88,7 @@ type Stats struct {
 	EventAllocs int64 // event structs newly allocated (freelist misses)
 	HeapMax     int   // high-water mark of the pending-timer heap
 	// InlineResumes counts dispatches that woke the task that had just
-	// parked, so it carried on without a goroutine switch.
+	// parked, so it carried on without a coroutine switch.
 	InlineResumes int64
 }
 
@@ -103,8 +107,7 @@ type Engine struct {
 	runqHead int
 	free     []*event // event freelist
 	seq      int64
-	limit    Time       // the running RunUntil's horizon
-	stop     chan error // last dispatcher -> RunUntil: the run is over
+	limit    Time // the running RunUntil's horizon
 	nlive    int
 	tasks    map[*Task]struct{}
 	current  *Task
@@ -120,10 +123,7 @@ func (e *Engine) Current() *Task { return e.current }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{
-		stop:  make(chan error),
-		tasks: make(map[*Task]struct{}),
-	}
+	return &Engine{tasks: make(map[*Task]struct{})}
 }
 
 // Now reports the current virtual time.
@@ -224,12 +224,19 @@ func (e *Engine) cancel(ev *event) {
 	}
 }
 
-// Task is an actor: a goroutine interleaved by the engine.
+// Task is an actor: a coroutine interleaved by the engine.
 type Task struct {
 	eng  *Engine
 	name string
 
-	resume chan wakeCause
+	// resume runs the task's coroutine until it parks, reporting the
+	// dispatch it popped for another task, or until its body returns (ok
+	// false). yield, called inside the coroutine, hands such a dispatch to
+	// the driver and suspends the task. cause is why the driver last
+	// resumed it.
+	resume func() (d dispatch, ok bool)
+	yield  func(dispatch) bool
+	cause  wakeCause
 
 	// waiting state, valid while parked in Wait/WaitTimeout
 	wq          *Queue
@@ -259,40 +266,15 @@ func (e *Engine) Go(name string, fn func(*Task)) *Task {
 	return e.GoAfter(name, 0, fn)
 }
 
-// GoAfter spawns a new actor that begins running after delay d.
+// GoAfter spawns a new actor that begins running after delay d. The body
+// runs no code before that first dispatch.
 func (e *Engine) GoAfter(name string, d Duration, fn func(*Task)) *Task {
-	t := &Task{eng: e, name: name, resume: make(chan wakeCause)}
+	t := &Task{eng: e, name: name}
+	t.start(fn)
 	e.nlive++
 	e.tasks[t] = struct{}{}
 	e.schedule(t, e.now+Time(d))
-	go t.run(fn)
 	return t
-}
-
-// run is the task goroutine: wait for the first dispatch, run the body,
-// then pass control on as the task exits.
-func (t *Task) run(fn func(*Task)) {
-	<-t.resume
-	fn(t)
-	e := t.eng
-	e.nlive--
-	delete(e.tasks, t)
-	next, cause, err := e.next()
-	e.pass(next, cause, err)
-}
-
-// park runs the dispatch step on the parking task's own goroutine. If the
-// next event is this task's own wake it returns at once; otherwise it hands
-// control to the next task (or ends the run) and blocks until resumed.
-func (t *Task) park() wakeCause {
-	e := t.eng
-	next, cause, err := e.next()
-	if next == t {
-		e.stats.InlineResumes++
-		return cause
-	}
-	e.pass(next, cause, err)
-	return <-t.resume
 }
 
 // Sleep advances the actor's virtual time by d. Negative durations sleep
@@ -419,29 +401,12 @@ func (s *StallError) Error() string {
 // *StallError if tasks remain blocked with no pending events.
 func (e *Engine) Run() error { return e.RunUntil(Time(1)<<62 - 1) }
 
-// RunUntil drives the simulation until no live tasks remain or the clock
-// would pass limit. Events beyond limit stay queued. The calling goroutine
-// makes the first dispatch; from then on the tasks dispatch each other and
-// the last one to park or exit reports why the run stopped.
-func (e *Engine) RunUntil(limit Time) error {
-	e.limit = limit
-	next, cause, err := e.next()
-	if next == nil {
-		return err
-	}
-	next.resume <- cause
-	return <-e.stop
-}
-
-// pass hands control to next, or, when there is none, ends the run with
-// err. The caller must block or exit right after: from here on another
-// goroutine owns the engine.
-func (e *Engine) pass(next *Task, cause wakeCause, err error) {
-	if next != nil {
-		next.resume <- cause
-		return
-	}
-	e.stop <- err
+// dispatch is one step of a run: the task to resume and why, or, with a
+// nil task, the run's result.
+type dispatch struct {
+	task  *Task
+	cause wakeCause
+	err   error
 }
 
 // next is the dispatch step. It pops the next event due at or before the
@@ -450,7 +415,7 @@ func (e *Engine) pass(next *Task, cause wakeCause, err error) {
 // Current and returns a nil task with RunUntil's result: nil when every
 // task has exited or the next event lies beyond the limit, a *StallError
 // when live tasks remain with nothing pending.
-func (e *Engine) next() (*Task, wakeCause, error) {
+func (e *Engine) next() dispatch {
 	// A long same-instant storm leaves a drained prefix in the run queue;
 	// compact it so the slice does not grow without bound.
 	if e.runqHead > 1024 && e.runqHead*2 >= len(e.runq) {
@@ -488,13 +453,13 @@ func (e *Engine) next() (*Task, wakeCause, error) {
 			if len(e.heap) == 0 {
 				e.current = nil
 				if e.nlive > 0 {
-					return nil, 0, e.stall()
+					return dispatch{err: e.stall()}
 				}
-				return nil, 0, nil
+				return dispatch{}
 			}
 			if e.heap[0].t > e.limit {
 				e.current = nil
-				return nil, 0, nil
+				return dispatch{}
 			}
 			ev = e.heapPop()
 			e.now = ev.t
@@ -508,7 +473,7 @@ func (e *Engine) next() (*Task, wakeCause, error) {
 	e.freeEvent(ev)
 	e.stats.Dispatched++
 	e.current = task
-	return task, cause, nil
+	return dispatch{task: task, cause: cause}
 }
 
 func (e *Engine) compactRunq() {
