@@ -482,7 +482,7 @@ func a7() error {
 		fmt.Printf("%-10s %-10s %10s %10s %12v %12v %6d\n",
 			pt.Label, fault, outcome, where, pt.Freeze, pt.Total, pt.LiveCopies)
 	}
-	fmt.Println("(every row must end with exactly one live copy — a7Run fails otherwise;")
+	fmt.Println("(every row must end with exactly one live copy — the sweep fails otherwise;")
 	fmt.Println(" 'mid crash' kills the destination on a scripted mid-round stream message,")
 	fmt.Println(" the transaction aborts, and the source resumes the original)")
 	return nil
@@ -508,7 +508,7 @@ func a8() error {
 	fmt.Println("(each row crashes the source mid-interval; the buddy arbitrates over the")
 	fmt.Println(" migd transaction port before restarting the newest committed checkpoint;")
 	fmt.Println(" every row must end with exactly one live copy and lost work inside one")
-	fmt.Println(" checkpoint interval — a8Run fails otherwise)")
+	fmt.Println(" checkpoint interval — the sweep fails otherwise)")
 	return nil
 }
 

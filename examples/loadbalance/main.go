@@ -119,12 +119,7 @@ func nightDemo() {
 
 		// The hogs run forever; stop the simulation cleanly.
 		c.StopHA()
-		for _, name := range c.Names() {
-			m := c.Machine(name)
-			for _, pi := range m.PS() {
-				m.Kill(kernel.Creds{}, pi.PID, kernel.SIGKILL)
-			}
-		}
+		c.KillAll()
 	})
 	if err := c.Run(); err != nil {
 		log.Fatal(err)

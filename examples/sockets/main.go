@@ -19,37 +19,6 @@ import (
 	"procmig/internal/vm"
 )
 
-const serverSrc = `
-start:  sys  socket
-        mov  r4, r0
-        mov  r0, r4
-        movi r1, 4000
-        sys  bind
-        cmpi r1, 0
-        jne  bad
-loop:   mov  r0, r4
-        movi r1, buf
-        movi r2, 16
-        sys  recvfrom
-        cmpi r1, 0
-        jne  bad
-        movi r6, buf
-        ldb  r5, r6
-        cmpi r5, 'q'
-        jeq  done
-        ld   r5, count
-        addi r5, 1
-        st   r5, count
-        jmp  loop
-done:   ld   r0, count
-        sys  exit
-bad:    movi r0, 99
-        sys  exit
-        .data
-count:  .word 0
-buf:    .space 16
-`
-
 func main() {
 	for _, ext := range []bool{true, false} {
 		runScenario(ext)
@@ -74,7 +43,7 @@ func runScenario(extension bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := c.InstallVM("/bin/server", serverSrc); err != nil {
+	if err := c.InstallVM("/bin/server", cluster.DatagramServerSrc); err != nil {
 		log.Fatal(err)
 	}
 	const total = 15

@@ -54,12 +54,12 @@ type Cluster struct {
 	// across hosts.
 	Obs *obs.Registry
 
-	machines map[string]*kernel.Machine
-	hosts    map[string]*netsim.Host
-	consoles map[string]*tty.Terminal
-	order    []string
-	ha       map[string]*ha.Node
-	haCfg    ha.Config // StartHA's config, reused when a revived host rejoins
+	machines   map[string]*kernel.Machine
+	hosts      map[string]*netsim.Host
+	consoles   map[string]*tty.Terminal
+	order      []string
+	ha         map[string]*ha.Node
+	haCfg      ha.Config // StartHA's config, reused when a revived host rejoins
 	ctl        *controller.Controller
 	migWire    core.WireMode // wire mode controller-driven migrations use
 	migClassic bool          // controller migrations use the classic stop-and-copy path
@@ -224,9 +224,7 @@ func New(opts Options) (*Cluster, error) {
 		// re-advertises an empty summary rather than a stale one.
 		machine := m
 		nh.SetCrashHook(func() {
-			for _, p := range machine.Procs() {
-				machine.Kill(kernel.Creds{}, p.PID, kernel.SIGKILL)
-			}
+			machine.KillAll()
 			core.DropMachineStore(machine)
 		})
 		for pname, fn := range progs {
@@ -432,6 +430,15 @@ func (c *Cluster) ReviveHost(name string) error {
 	}
 	h.Revive() // the revive hook set by StartHA rejoins the control plane
 	return nil
+}
+
+// KillAll kills every process on every machine, machine by machine in
+// boot order: the teardown that lets a run with programs that never exit
+// quiesce.
+func (c *Cluster) KillAll() {
+	for _, name := range c.order {
+		c.machines[name].KillAll()
+	}
 }
 
 // Run drives the simulation to quiescence.

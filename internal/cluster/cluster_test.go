@@ -247,11 +247,12 @@ func TestInstallVMRejectsBadAssembly(t *testing.T) {
 
 func TestTestProgramAssembles(t *testing.T) {
 	for name, src := range map[string]string{
-		"TestProgramSrc": cluster.TestProgramSrc,
-		"HogSrc":         cluster.HogSrc,
-		"FiniteHogSrc":   cluster.FiniteHogSrc,
-		"TmpfileSrc":     cluster.TmpfileSrc,
-		"WaiterSrc":      cluster.WaiterSrc,
+		"TestProgramSrc":    cluster.TestProgramSrc,
+		"HogSrc":            cluster.HogSrc,
+		"FiniteHogSrc":      cluster.FiniteHogSrc,
+		"TmpfileSrc":        cluster.TmpfileSrc,
+		"WaiterSrc":         cluster.WaiterSrc,
+		"DatagramServerSrc": cluster.DatagramServerSrc,
 	} {
 		if _, err := asm.Assemble(src); err != nil {
 			t.Errorf("%s: %v", name, err)

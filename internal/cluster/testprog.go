@@ -77,6 +77,42 @@ line:   .ascii "R0 D0 S0\n"
 buf:    .space 64
 `
 
+// DatagramServerSrc is the socket-migration server (§9 extension, E3):
+// bind a datagram socket to port 4000 and count the datagrams received
+// until one starting with 'q' arrives, then exit with the count. A
+// receive error exits 99 — what a migrated server whose socket became
+// /dev/null sees.
+const DatagramServerSrc = `
+start:  sys  socket
+        mov  r4, r0
+        mov  r0, r4
+        movi r1, 4000
+        sys  bind
+        cmpi r1, 0
+        jne  bad
+loop:   mov  r0, r4
+        movi r1, buf
+        movi r2, 16
+        sys  recvfrom
+        cmpi r1, 0
+        jne  bad
+        movi r6, buf
+        ldb  r5, r6
+        cmpi r5, 'q'
+        jeq  done
+        ld   r5, count
+        addi r5, 1
+        st   r5, count
+        jmp  loop
+done:   ld   r0, count
+        sys  exit
+bad:    movi r0, 99
+        sys  exit
+        .data
+count:  .word 0
+buf:    .space 16
+`
+
 // HogSrc is a pure CPU burner: it spins for roughly the number of
 // "work units" given as the low byte of the first argv byte... kept
 // simple: it loops forever; callers kill or migrate it. It reports

@@ -12,39 +12,6 @@ import (
 	"procmig/internal/vm"
 )
 
-// serverSrc: bind port 4000, count datagrams until one starting with 'q'
-// arrives, then exit with the count. Any socket error exits 99.
-const serverSrc = `
-start:  sys  socket
-        mov  r4, r0
-        mov  r0, r4
-        movi r1, 4000
-        sys  bind
-        cmpi r1, 0
-        jne  bad
-loop:   mov  r0, r4
-        movi r1, buf
-        movi r2, 16
-        sys  recvfrom
-        cmpi r1, 0
-        jne  bad
-        movi r6, buf
-        ldb  r5, r6
-        cmpi r5, 'q'
-        jeq  done
-        ld   r5, count
-        addi r5, 1
-        st   r5, count
-        jmp  loop
-done:   ld   r0, count
-        sys  exit
-bad:    movi r0, 99
-        sys  exit
-        .data
-count:  .word 0
-buf:    .space 16
-`
-
 func bootSockets(t *testing.T, socketMigration bool) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cluster.Options{
@@ -58,7 +25,7 @@ func bootSockets(t *testing.T, socketMigration bool) *cluster.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.InstallVM("/bin/server", serverSrc); err != nil {
+	if err := c.InstallVM("/bin/server", cluster.DatagramServerSrc); err != nil {
 		t.Fatal(err)
 	}
 	return c

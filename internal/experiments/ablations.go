@@ -114,7 +114,7 @@ type A2Result struct {
 func A2Migd() (*A2Result, error) {
 	res := &A2Result{}
 	for _, prog := range []string{"migrate", "fmigrate"} {
-		d, status, err := measureMigrateProg(prog, "alpha", "beta", "gamma")
+		d, status, _, err := measureMigrate(prog, "alpha", "beta", "gamma")
 		if err != nil {
 			return nil, err
 		}
@@ -129,33 +129,6 @@ func A2Migd() (*A2Result, error) {
 	}
 	res.Speedup = float64(res.RshMigrate) / float64(res.FastMigrate)
 	return res, nil
-}
-
-func measureMigrateProg(prog, on, from, to string) (sim.Duration, int, error) {
-	c, err := boot(kernel.Config{TrackNames: true}, "alpha", "beta", "gamma")
-	if err != nil {
-		return 0, 0, err
-	}
-	var elapsed sim.Duration
-	var status int
-	c.Eng.Go("driver", func(tk *sim.Task) {
-		v, _ := c.Spawn(from, nil, user, "/bin/counter")
-		tk.Sleep(2 * sim.Second)
-		t0 := tk.Now()
-		mig, _ := c.Spawn(on, nil, user, "/bin/"+prog,
-			"-p", fmt.Sprint(v.PID), "-f", from, "-t", to)
-		status = mig.AwaitExit(tk)
-		elapsed = sim.Duration(tk.Now() - t0)
-		for _, name := range c.Names() {
-			for _, p := range c.Machine(name).Procs() {
-				c.Machine(name).Kill(kernel.Creds{}, p.PID, kernel.SIGKILL)
-			}
-		}
-	})
-	if err := c.Run(); err != nil {
-		return 0, 0, err
-	}
-	return elapsed, status, nil
 }
 
 // --- A3: dumpproc poll interval ----------------------------------------------
@@ -263,9 +236,11 @@ func A4Checkpoint() ([]*A4Point, error) {
 					return
 				}
 				// The job now runs as ckpt's orphaned final incarnation.
+				var procs []*kernel.Proc
 				for {
 					running := false
-					for _, p := range c.Machine("brick").Procs() {
+					procs = c.Machine("brick").AppendProcs(procs[:0])
+					for _, p := range procs {
 						if p.State == kernel.ProcRunning && p.VM != nil {
 							running = true
 							p.AwaitExit(tk)

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"procmig/internal/cluster"
 	"procmig/internal/controller"
 	"procmig/internal/ha"
-	"procmig/internal/kernel"
 	"procmig/internal/sim"
-	"procmig/internal/vm"
 )
 
 // A13: the declarative controller at cluster scale, on real kernels.
@@ -151,83 +148,17 @@ func A13Controller(cfg A13Config) (*A13Result, error) {
 	start := time.Now()
 	desired := cfg.Replicas + cfg.Batch
 
-	specs := make([]cluster.HostSpec, cfg.Hosts)
-	for i := range specs {
-		specs[i] = cluster.HostSpec{Name: fmt.Sprintf("h%03d", i), ISA: vm.ISA1}
-	}
-	c, err := cluster.New(cluster.Options{Hosts: specs, Config: kernel.Config{TrackNames: true}})
+	f, err := newFleet(cfg.Hosts, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	c.Eng.Seed(cfg.Seed)
-	if err := c.InstallVM(a13Path, a13ServiceSrc); err != nil {
+	defer f.Close()
+	if err := f.start(a13Path, a13ServiceSrc, desired, ha.Config{Interval: sim.Second}, controller.Config{
+		Period: 2 * sim.Second, MaxActionsPerRound: 12, DrainWave: a13DrainWave,
+	}); err != nil {
 		return nil, err
 	}
-	if err := c.StartHA(ha.Config{Interval: sim.Second}); err != nil {
-		return nil, err
-	}
-	period := 2 * sim.Second
-	ctl, err := c.StartController("h000", controller.Config{
-		Period: period, MaxActionsPerRound: 12, DrainWave: a13DrainWave,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// census audits the kernels directly: a replica is a running process
-	// that is either the installed binary or a migrated successor (a
-	// restored process's Cmd is its dump image, so the path alone cannot
-	// identify post-move copies; nothing else migrates in this run).
-	var procs []*kernel.Proc // census scratch
-	census := func() (int, map[string]int) {
-		total, per := 0, map[string]int{}
-		for _, hn := range c.Names() {
-			if c.NetHost(hn).Down() {
-				continue
-			}
-			procs = c.Machine(hn).AppendProcs(procs[:0])
-			for _, p := range procs {
-				if p.State == kernel.ProcRunning && (p.Cmd == a13Path || p.Migrated) {
-					total++
-					per[hn]++
-				}
-			}
-		}
-		return total, per
-	}
-	ctr := func(name string) int64 { return c.Obs.Scope("h000").Counter(name).Value() }
-
-	// stepUntil advances one reconcile period at a time until ok() holds,
-	// auditing the replica count after every step: more than desired +
-	// allowOver running copies is the exactly-one-copy guarantee broken
-	// (allowOver admits the transient double a mid-flight migration
-	// transaction legitimately holds).
-	stepUntil := func(phase string, budget sim.Duration, allowOver int, ok func() bool) (sim.Duration, error) {
-		from := c.Eng.Now()
-		for {
-			if ok() {
-				return sim.Duration(c.Eng.Now() - from), nil
-			}
-			if sim.Duration(c.Eng.Now()-from) >= budget {
-				total, _ := census()
-				return 0, fmt.Errorf("a13: %s did not converge within %v (running %d, want %d, status %+v)",
-					phase, budget, total, desired, ctl.Status())
-			}
-			if err := c.RunUntil(c.Eng.Now() + sim.Time(period)); err != nil {
-				return 0, err
-			}
-			if total, _ := census(); total > desired+allowOver {
-				return 0, fmt.Errorf("a13: %s: %d running replicas, want at most %d — duplicate copies",
-					phase, total, desired+allowOver)
-			}
-		}
-	}
-
-	// Warm-up: let gossip membership converge before submitting, so the
-	// convergence time measures the controller, not bootstrap.
-	if err := c.RunUntil(c.Eng.Now() + sim.Time(10*sim.Second)); err != nil {
-		return nil, err
-	}
+	c, ctl := f.c, f.ctl
 
 	res := &A13Result{
 		Hosts: cfg.Hosts, Replicas: cfg.Replicas, Batch: cfg.Batch,
@@ -250,24 +181,20 @@ func A13Controller(cfg A13Config) (*A13Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	r0 := ctr("controller.rounds")
-	converged := func() bool {
-		total, _ := census()
-		return ctl.Converged() && total == desired
-	}
-	d, err := stepUntil("rollout", 300*sim.Second, 0, converged)
+	r0 := f.ctr("controller.rounds")
+	d, err := f.stepUntil("rollout", 300*sim.Second, 0, f.converged)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("a13: %w", err)
 	}
 	res.ConvergeS = float64(d) / float64(sim.Second)
-	res.ConvergeRounds = ctr("controller.rounds") - r0
+	res.ConvergeRounds = f.ctr("controller.rounds") - r0
 
 	// Phase 2: crash a tenth of the cluster — replica carriers, the
 	// controller host excepted — and heal. Every lost slot must come
 	// back as a respawn on a surviving host, and the controller's loss
 	// accounting must match the replicas that were actually on the
 	// crashed hosts.
-	_, per := census()
+	_, per := f.census()
 	var wave []string
 	lostExpected := 0
 	for _, hn := range c.Names() {
@@ -282,15 +209,15 @@ func A13Controller(cfg A13Config) (*A13Result, error) {
 	for _, hn := range wave {
 		c.Crash(hn)
 	}
-	r0 = ctr("controller.rounds")
-	d, err = stepUntil("crash-wave heal", 300*sim.Second, 0, converged)
+	r0 = f.ctr("controller.rounds")
+	d, err = f.stepUntil("crash-wave heal", 300*sim.Second, 0, f.converged)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("a13: %w", err)
 	}
 	res.HealS = float64(d) / float64(sim.Second)
-	res.HealRounds = ctr("controller.rounds") - r0
-	res.Respawns = ctr("controller.respawns")
-	res.ReplicasLost = ctr("controller.replicas_lost")
+	res.HealRounds = f.ctr("controller.rounds") - r0
+	res.Respawns = f.ctr("controller.respawns")
+	res.ReplicasLost = f.ctr("controller.replicas_lost")
 	if res.ReplicasLost != int64(lostExpected) {
 		return nil, fmt.Errorf("a13: controller recorded %d lost replicas, want %d (the crash wave's census)",
 			res.ReplicasLost, lostExpected)
@@ -302,7 +229,7 @@ func A13Controller(cfg A13Config) (*A13Result, error) {
 	// Phase 3: rolling drain of the most loaded surviving host — by
 	// construction a bin-packed batch host, so the evacuation takes
 	// multiple rate-limited waves.
-	_, per = census()
+	_, per = f.census()
 	drainHost := ""
 	for _, hn := range c.Names() {
 		if hn != "h000" && per[hn] > 0 && !c.NetHost(hn).Down() &&
@@ -314,39 +241,22 @@ func A13Controller(cfg A13Config) (*A13Result, error) {
 		return nil, fmt.Errorf("a13: no replica carrier left to drain")
 	}
 	evacuees := per[drainHost]
-	if err := c.DrainHost(drainHost); err != nil {
-		return nil, err
-	}
-	drained := func() bool {
-		st, ok := ctl.DrainStatus(drainHost)
-		if !ok || !st.Done {
-			return false
-		}
-		total, per := census()
-		return ctl.Converged() && total == desired && per[drainHost] == 0
-	}
 	// A drain wave holds up to DrainWave transactions in flight; a poll
 	// boundary can land mid-wave, so admit that much transient surplus.
-	if _, err = stepUntil("drain", 300*sim.Second, a13DrainWave, drained); err != nil {
-		return nil, err
+	st, err := f.drain(drainHost, evacuees, 300*sim.Second, a13DrainWave)
+	if err != nil {
+		return nil, fmt.Errorf("a13: %w", err)
 	}
-	st, _ := ctl.DrainStatus(drainHost)
 	res.DrainHost = drainHost
 	res.DrainS = float64(st.Makespan) / float64(sim.Second)
 	res.DrainWaves = st.Waves
 	res.DrainMoves = st.Moved
-	if st.Failed != 0 {
-		return nil, fmt.Errorf("a13: drain of %s had %d failed moves", drainHost, st.Failed)
-	}
-	if st.Moved != evacuees {
-		return nil, fmt.Errorf("a13: drain of %s moved %d replicas, want %d", drainHost, st.Moved, evacuees)
-	}
 	if want := (evacuees + a13DrainWave - 1) / a13DrainWave; st.Waves != want {
 		return nil, fmt.Errorf("a13: drain of %s took %d waves for %d evacuees, want %d",
 			drainHost, st.Waves, evacuees, want)
 	}
 
-	total, per := census()
+	total, per := f.census()
 	res.FinalReplicas = total
 	res.FinalDeficit = desired - total
 	if res.FinalDeficit != 0 {
@@ -356,12 +266,10 @@ func A13Controller(cfg A13Config) (*A13Result, error) {
 		return nil, fmt.Errorf("a13: drained host %s still runs %d replicas", drainHost, per[drainHost])
 	}
 
-	stats := c.Eng.Stats()
-	res.VirtualTime = float64(c.Eng.Now()) / float64(sim.Second)
+	res.Events, res.VirtualTime = f.totals()
 	res.Wall = time.Since(start).Seconds()
-	res.Events = stats.Dispatched
 	if res.Wall > 0 {
-		res.EventsPerSec = float64(stats.Dispatched) / res.Wall
+		res.EventsPerSec = float64(res.Events) / res.Wall
 	}
 	return res, nil
 }

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"procmig/internal/cluster"
 	"procmig/internal/controller"
 	"procmig/internal/core"
 	"procmig/internal/ha"
-	"procmig/internal/kernel"
 	"procmig/internal/sim"
-	"procmig/internal/vm"
 )
 
 // A14: the cluster page store under a mass drain of identical replicas.
@@ -74,6 +71,18 @@ beat:   .word 0
 ws:     .space %d
 wsend:  .word 0
 `, pages, dataKiB<<10)
+}
+
+// a14ExecStorm is how long spawning replicas copies of a14Src(dataKiB)
+// on one host takes. Each exec of a working set baked into the binary's
+// data segment costs ExecPerByte (3 µs/B) of kernel CPU, plus the
+// ~1.5 µs/B LCG fill — all serialized on the packed host's one 1-MIPS
+// CPU, and round-robin scheduling means every exec finishes (and every
+// p.VM becomes beacon-visible) together near the end. The controller's
+// patience has to cover that, or the judge convicts the whole batch as
+// unsighted and respawns duplicates.
+func a14ExecStorm(replicas, dataKiB int) sim.Duration {
+	return sim.Duration(replicas*dataKiB)*5*sim.Millisecond + sim.Duration(replicas)*100*sim.Millisecond
 }
 
 // a14DrainWave keeps waves much smaller than the packed host's
@@ -189,21 +198,17 @@ func A14Dedup(cfg A14Config) (*A14Result, error) {
 		Hosts: cfg.Hosts, Replicas: cfg.Replicas, DataKiB: cfg.DataKiB,
 		Seed: cfg.Seed, DrainWave: a14DrainWave,
 	}
-	for _, mode := range []string{"raw", "session", "store"} {
-		run, events, virtual, err := a14Run(cfg, mode)
+	for _, m := range []struct {
+		mode string
+		out  *A14Mode
+	}{{"raw", &res.Raw}, {"session", &res.Session}, {"store", &res.Store}} {
+		run, events, virtual, err := a14Run(cfg, m.mode)
 		if err != nil {
-			return nil, fmt.Errorf("a14 %s: %w", mode, err)
+			return nil, fmt.Errorf("a14 %s: %w", m.mode, err)
 		}
+		*m.out = *run
 		res.Events += events
 		res.VirtualTime += virtual
-		switch mode {
-		case "raw":
-			res.Raw = *run
-		case "session":
-			res.Session = *run
-		case "store":
-			res.Store = *run
-		}
 	}
 
 	// The gates. Raw over session is a sanity floor (session dedup
@@ -244,15 +249,12 @@ func A14Dedup(cfg A14Config) (*A14Result, error) {
 
 // a14Run is one mode's full scenario on a fresh cluster.
 func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
-	specs := make([]cluster.HostSpec, cfg.Hosts)
-	for i := range specs {
-		specs[i] = cluster.HostSpec{Name: fmt.Sprintf("h%03d", i), ISA: vm.ISA1}
-	}
-	c, err := cluster.New(cluster.Options{Hosts: specs, Config: kernel.Config{TrackNames: true}})
+	f, err := newFleet(cfg.Hosts, cfg.Seed)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	c.Eng.Seed(cfg.Seed)
+	defer f.Close()
+	c := f.c
 	switch mode {
 	case "raw":
 		c.SetMigrationWire(core.WireRaw)
@@ -262,55 +264,22 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 	case "store":
 		// Stores come up lazily at the default budget; nothing to do.
 	}
-	if err := c.InstallVM(a14Path, a14Src(cfg.DataKiB)); err != nil {
-		return nil, 0, 0, err
-	}
 	// A long delta-checkpoint period keeps guardian traffic out of the
 	// way of the drain (the meters are separate, but the CPU is not).
 	ckptIvl := 15 * sim.Second
-	if err := c.StartHA(ha.Config{Interval: sim.Second, CkptInterval: ckptIvl}); err != nil {
-		return nil, 0, 0, err
-	}
-	period := 2 * sim.Second
-	// The exec storm: spawning R replicas whose working set is baked into
-	// the binary's data segment costs ExecPerByte (3 µs/B) of kernel CPU
-	// each, plus the ~1.5 µs/B LCG fill — all serialized on the packed
-	// host's one 1-MIPS CPU, and round-robin scheduling means every exec
-	// finishes (and every p.VM becomes beacon-visible) together near the
-	// end. The controller's patience has to cover that, or the judge
-	// convicts the whole batch as unsighted and respawns duplicates.
-	execStorm := sim.Duration(cfg.Replicas*cfg.DataKiB)*5*sim.Millisecond +
-		sim.Duration(cfg.Replicas)*100*sim.Millisecond
+	execStorm := a14ExecStorm(cfg.Replicas, cfg.DataKiB)
 	// RecoveryGrace covers the worst case of every buddy restoring at
 	// once: a restore replays an exec-sized image load, and two replicas
 	// sharing a buddy serialize on its CPU.
-	ctl, err := c.StartController("h000", controller.Config{
-		Period: period, MaxActionsPerRound: cfg.Replicas + 8, DrainWave: a14DrainWave,
-		SpawnGrace:    execStorm + 10*sim.Second,
-		RecoveryGrace: sim.Duration(cfg.DataKiB)*20*sim.Millisecond + 30*sim.Second,
-	})
-	if err != nil {
+	if err := f.start(a14Path, a14Src(cfg.DataKiB), cfg.Replicas,
+		ha.Config{Interval: sim.Second, CkptInterval: ckptIvl},
+		controller.Config{
+			Period: 2 * sim.Second, MaxActionsPerRound: cfg.Replicas + 8, DrainWave: a14DrainWave,
+			SpawnGrace:    execStorm + 10*sim.Second,
+			RecoveryGrace: sim.Duration(cfg.DataKiB)*20*sim.Millisecond + 30*sim.Second,
+		}); err != nil {
 		return nil, 0, 0, err
 	}
-
-	var procs []*kernel.Proc // census scratch
-	census := func() (int, map[string]int) {
-		total, per := 0, map[string]int{}
-		for _, hn := range c.Names() {
-			if c.NetHost(hn).Down() {
-				continue
-			}
-			procs = c.Machine(hn).AppendProcs(procs[:0])
-			for _, p := range procs {
-				if p.State == kernel.ProcRunning && (p.Cmd == a14Path || p.Migrated) {
-					total++
-					per[hn]++
-				}
-			}
-		}
-		return total, per
-	}
-	ctr := func(name string) int64 { return c.Obs.Scope("h000").Counter(name).Value() }
 	// sum meters a per-host counter across the whole cluster — the
 	// stream and checkpoint byte meters live in the source host's scope.
 	sum := func(name string) int64 {
@@ -321,73 +290,25 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 		return t
 	}
 
-	stepUntil := func(phase string, budget sim.Duration, allowOver int, ok func() bool) (sim.Duration, error) {
-		from := c.Eng.Now()
-		for {
-			if ok() {
-				return sim.Duration(c.Eng.Now() - from), nil
-			}
-			if sim.Duration(c.Eng.Now()-from) >= budget {
-				total, _ := census()
-				return 0, fmt.Errorf("%s did not converge within %v (running %d, want %d, status %+v)",
-					phase, budget, total, cfg.Replicas, ctl.Status())
-			}
-			if err := c.RunUntil(c.Eng.Now() + sim.Time(period)); err != nil {
-				return 0, err
-			}
-			if total, _ := census(); total > cfg.Replicas+allowOver {
-				return 0, fmt.Errorf("%s: %d running replicas, want at most %d — duplicate copies",
-					phase, total, cfg.Replicas+allowOver)
-			}
-		}
-	}
-
-	// Warm-up: gossip membership first, so rollout measures the
-	// controller rather than bootstrap.
-	if err := c.RunUntil(c.Eng.Now() + sim.Time(10*sim.Second)); err != nil {
-		return nil, 0, 0, err
-	}
-
 	run := &A14Mode{Mode: mode}
 
-	// Phase 1: rollout. Bin-packing with MaxPerHost == Replicas stacks
-	// the whole app on one host; Protect arms the buddy guardians for
-	// the crash-wave phase.
-	if err := ctl.Submit(controller.AppSpec{
-		Name: "repl", Path: a14Path, Replicas: cfg.Replicas,
-		Policy: "binpack", MaxPerHost: cfg.Replicas, Protect: true,
-		Avoid: []string{"h000"},
-	}); err != nil {
-		return nil, 0, 0, err
-	}
-	converged := func() bool {
-		total, _ := census()
-		return ctl.Converged() && total == cfg.Replicas
-	}
-	d, err := stepUntil("rollout", 2*execStorm+60*sim.Second, 0, converged)
+	// Phase 1: rollout, the whole app packed on one host; Protect arms
+	// the buddy guardians for the crash-wave phase.
+	packHost, d, err := f.rolloutPacked("repl", true, 2*execStorm+60*sim.Second, 0)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	run.RolloutS = float64(d) / float64(sim.Second)
-	_, per := census()
-	for hn, n := range per {
-		if n == cfg.Replicas {
-			run.PackHost = hn
-		}
-	}
-	if run.PackHost == "" {
-		return nil, 0, 0, fmt.Errorf("rollout did not pack all %d replicas on one host: %v", cfg.Replicas, per)
-	}
+	run.PackHost, run.RolloutS = packHost, float64(d)/float64(sim.Second)
 
 	// Settle: the guardians take their first full checkpoints — each one
 	// spools the whole image off the packed host at a few µs of CPU per
 	// byte, serialized like the exec storm was. Sized from the config so
 	// reduced test runs do not wait the CI default.
 	initBudget := sim.Duration(cfg.Replicas*cfg.DataKiB) * 3 * sim.Millisecond
-	if err := c.RunUntil(c.Eng.Now() + sim.Time(initBudget+3*ckptIvl)); err != nil {
+	if err := f.runFor(initBudget + 3*ckptIvl); err != nil {
 		return nil, 0, 0, err
 	}
-	if got := ctr("controller.protects"); got < int64(cfg.Replicas) {
+	if got := f.ctr("controller.protects"); got < int64(cfg.Replicas) {
 		return nil, 0, 0, fmt.Errorf("only %d guardian protections after settle, want >= %d", got, cfg.Replicas)
 	}
 
@@ -395,44 +316,22 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 	// evacuee to the same destination, so in store mode only the first
 	// wave (and its overlapped prewarm) can ship full pages.
 	b0 := sum("stream.wire_bytes")
-	prot0 := ctr("controller.protects")
-	if err := c.DrainHost(run.PackHost); err != nil {
+	prot0 := f.ctr("controller.protects")
+	st, err := f.drain(run.PackHost, cfg.Replicas, 600*sim.Second, a14DrainWave)
+	if err != nil {
 		return nil, 0, 0, err
 	}
-	drained := func() bool {
-		st, ok := ctl.DrainStatus(run.PackHost)
-		if !ok || !st.Done {
-			return false
-		}
-		total, per := census()
-		return ctl.Converged() && total == cfg.Replicas && per[run.PackHost] == 0
-	}
-	if _, err = stepUntil("drain", 600*sim.Second, a14DrainWave, drained); err != nil {
-		return nil, 0, 0, err
-	}
-	st, _ := ctl.DrainStatus(run.PackHost)
 	run.DrainHost = run.PackHost
 	run.DrainS = float64(st.Makespan) / float64(sim.Second)
 	run.DrainWaves = st.Waves
 	run.DrainMoves = st.Moved
 	run.DrainBytes = sum("stream.wire_bytes") - b0
-	run.DrainPrewarms = ctr("controller.drain_prewarms")
-	if st.Failed != 0 {
-		return nil, 0, 0, fmt.Errorf("drain of %s had %d failed moves", run.PackHost, st.Failed)
-	}
-	if st.Moved != cfg.Replicas {
-		return nil, 0, 0, fmt.Errorf("drain moved %d replicas, want %d", st.Moved, cfg.Replicas)
-	}
+	run.DrainPrewarms = f.ctr("controller.drain_prewarms")
 	if want := (cfg.Replicas + a14DrainWave - 1) / a14DrainWave; st.Waves != want {
 		return nil, 0, 0, fmt.Errorf("drain took %d waves for %d evacuees, want %d", st.Waves, cfg.Replicas, want)
 	}
-	_, per = census()
-	for hn, n := range per {
-		if n == cfg.Replicas {
-			run.DestHost = hn
-		}
-	}
-	if run.DestHost == "" || run.DestHost == run.PackHost {
+	if run.DestHost = f.packedHost(); run.DestHost == "" || run.DestHost == run.PackHost {
+		_, per := f.census()
 		return nil, 0, 0, fmt.Errorf("drain scattered the stack instead of repacking it: %v", per)
 	}
 
@@ -441,9 +340,9 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 	// wait for every slot to re-protect — the crash wave below is only
 	// survivable once the guardians hold fresh spools. Then let the
 	// checkpoint cycle run so each spool is complete.
-	reprotected := func() bool { return ctr("controller.protects")-prot0 >= int64(cfg.Replicas) }
+	reprotected := func() bool { return f.ctr("controller.protects")-prot0 >= int64(cfg.Replicas) }
 	reprotBudget := sim.Duration(cfg.Replicas*cfg.DataKiB)*3*sim.Millisecond + 60*sim.Second
-	if _, err = stepUntil("re-protect", reprotBudget, 0, reprotected); err != nil {
+	if _, err = f.stepUntil("re-protect", reprotBudget, 0, reprotected); err != nil {
 		return nil, 0, 0, err
 	}
 	// Registration is not survivability: the post-drain checkpoint storm
@@ -453,7 +352,7 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 	// then is a *legitimate* data loss, not a heal failure. Poll the
 	// buddy tables until every protection's first checkpoint committed.
 	spooled := func() bool {
-		st, ok := ctl.App("repl")
+		st, ok := f.ctl.App("repl")
 		if !ok || len(st.Replicas) != cfg.Replicas {
 			return false
 		}
@@ -475,7 +374,7 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 		return true
 	}
 	spoolBudget := sim.Duration(cfg.Replicas*cfg.DataKiB)*10*sim.Millisecond + 3*ckptIvl
-	if _, err = stepUntil("checkpoint spool", spoolBudget, 0, spooled); err != nil {
+	if _, err = f.stepUntil("checkpoint spool", spoolBudget, 0, spooled); err != nil {
 		return nil, 0, 0, err
 	}
 
@@ -483,17 +382,17 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 	// app; killing it loses every replica at once, and each one must
 	// come back through its buddy guardian's restart, adopted — not
 	// respawned — by the controller.
-	lost0, adopt0, resp0 := ctr("controller.replicas_lost"), ctr("controller.adoptions"), ctr("controller.respawns")
+	lost0, adopt0, resp0 := f.ctr("controller.replicas_lost"), f.ctr("controller.adoptions"), f.ctr("controller.respawns")
 	c.Crash(run.DestHost)
 	// Converged alone is not enough: guardian restores can refill the
 	// kernel census before the controller even suspects the dead host
 	// (its bindings still say "live on the crashed host" until grace
 	// runs out). Healed means every slot rebound off the dead host too.
 	healed := func() bool {
-		if !converged() {
+		if !f.converged() {
 			return false
 		}
-		st, ok := ctl.App("repl")
+		st, ok := f.ctl.App("repl")
 		if !ok {
 			return false
 		}
@@ -504,14 +403,14 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 		}
 		return true
 	}
-	d, err = stepUntil("crash-wave heal", 300*sim.Second, 0, healed)
+	d, err = f.stepUntil("crash-wave heal", 300*sim.Second, 0, healed)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	run.HealS = float64(d) / float64(sim.Second)
-	run.Lost = ctr("controller.replicas_lost") - lost0
-	run.Adoptions = ctr("controller.adoptions") - adopt0
-	run.Respawns = ctr("controller.respawns") - resp0
+	run.Lost = f.ctr("controller.replicas_lost") - lost0
+	run.Adoptions = f.ctr("controller.adoptions") - adopt0
+	run.Respawns = f.ctr("controller.respawns") - resp0
 	// replicas_lost counts drops that went to a cold respawn; an adopted
 	// guardian recovery rebinds the slot without ever counting as lost.
 	// A clean crash-wave heal is therefore all adoptions and no losses.
@@ -529,12 +428,12 @@ func a14Run(cfg A14Config, mode string) (*A14Mode, int64, float64, error) {
 	run.SpecNacks = sum("stream.spec_nacks")
 	run.StoreHits = sum("pagestore.hits")
 	run.StoreEvict = sum("pagestore.evictions")
-	total, _ := census()
+	total, _ := f.census()
 	run.FinalReplicas = total
 	if total != cfg.Replicas {
 		return nil, 0, 0, fmt.Errorf("final census %d, want %d", total, cfg.Replicas)
 	}
 
-	stats := c.Eng.Stats()
-	return run, stats.Dispatched, float64(c.Eng.Now()) / float64(sim.Second), nil
+	events, virtual := f.totals()
+	return run, events, virtual, nil
 }

@@ -314,7 +314,7 @@ func Fig4() ([]*Fig4Case, error) {
 		}
 		fc.SeparateReal = base
 
-		mig, status, traffic, err := measureMigrate(fc.InvokedOn, fc.From, fc.To)
+		mig, status, traffic, err := measureMigrate("migrate", fc.InvokedOn, fc.From, fc.To)
 		if err != nil {
 			return nil, err
 		}
@@ -373,11 +373,14 @@ func measureSeparate(from, to string) (sim.Duration, error) {
 // returns its simulated duration and exit status (a convenience for the
 // end-to-end wall-clock benchmark).
 func MeasureOneMigration() (sim.Duration, int, error) {
-	d, status, _, err := measureMigrate("alpha", "beta", "gamma")
+	d, status, _, err := measureMigrate("migrate", "alpha", "beta", "gamma")
 	return d, status, err
 }
 
-func measureMigrate(on, from, to string) (sim.Duration, int, netTraffic, error) {
+// measureMigrate times one run of the migration command prog (migrate,
+// or A2's fmigrate) typed on host on, moving the test program from one
+// host to another, and meters the network traffic of that run.
+func measureMigrate(prog, on, from, to string) (sim.Duration, int, netTraffic, error) {
 	c, err := boot(kernel.Config{TrackNames: true}, "alpha", "beta", "gamma")
 	if err != nil {
 		return 0, 0, netTraffic{}, err
@@ -391,17 +394,13 @@ func measureMigrate(on, from, to string) (sim.Duration, int, netTraffic, error) 
 		tk.Sleep(2 * sim.Second)
 		t0 := tk.Now()
 		start := netTraffic{Msgs: net.Messages, Bytes: net.Bytes}
-		mig, _ := c.Spawn(on, nil, user, "/bin/migrate",
+		mig, _ := c.Spawn(on, nil, user, "/bin/"+prog,
 			"-p", fmt.Sprint(v.PID), "-f", from, "-t", to)
 		status = mig.AwaitExit(tk)
 		elapsed = sim.Duration(tk.Now() - t0)
 		traffic = trafficSince(net, start)
 		// Kill the migrated process so the engine can quiesce.
-		for _, name := range c.Names() {
-			for _, p := range c.Machine(name).Procs() {
-				c.Machine(name).Kill(kernel.Creds{}, p.PID, kernel.SIGKILL)
-			}
-		}
+		c.KillAll()
 	})
 	if err := c.Run(); err != nil {
 		return 0, 0, netTraffic{}, err

@@ -20,37 +20,6 @@ type E3Result struct {
 	Freeze          sim.Duration // SIGDUMP post → rest_proc completion
 }
 
-const e3ServerSrc = `
-start:  sys  socket
-        mov  r4, r0
-        mov  r0, r4
-        movi r1, 4000
-        sys  bind
-        cmpi r1, 0
-        jne  bad
-loop:   mov  r0, r4
-        movi r1, buf
-        movi r2, 16
-        sys  recvfrom
-        cmpi r1, 0
-        jne  bad
-        movi r6, buf
-        ldb  r5, r6
-        cmpi r5, 'q'
-        jeq  done
-        ld   r5, count
-        addi r5, 1
-        st   r5, count
-        jmp  loop
-done:   ld   r0, count
-        sys  exit
-bad:    movi r0, 99
-        sys  exit
-        .data
-count:  .word 0
-buf:    .space 16
-`
-
 // E3SocketMigration runs the datagram-server migration scenario twice.
 func E3SocketMigration() (*E3Result, error) {
 	res := &E3Result{Sent: 20}
@@ -66,7 +35,7 @@ func E3SocketMigration() (*E3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.InstallVM("/bin/server", e3ServerSrc); err != nil {
+		if err := c.InstallVM("/bin/server", cluster.DatagramServerSrc); err != nil {
 			return nil, err
 		}
 		if err := c.InstallHosted("sender", func(sys *kernel.Sys, args []string) int {

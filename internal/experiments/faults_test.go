@@ -1,11 +1,15 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"procmig/internal/scenario"
+)
 
 // TestA7SingleRun: one lossy migration commits, keeps exactly one live
 // copy, and lands it on the destination.
 func TestA7SingleRun(t *testing.T) {
-	pt, err := a7Run("64K/8K", 64<<10, 8<<10, 10, false, 1)
+	pt, err := a7Point(scenario.A7Table("64K/8K", 64<<10, 8<<10, 10, false, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +24,7 @@ func TestA7SingleRun(t *testing.T) {
 // TestA7CrashRun: a scripted mid-round destination crash aborts the
 // transaction and the single live copy is the original on the source.
 func TestA7CrashRun(t *testing.T) {
-	pt, err := a7Run("64K/8K", 64<<10, 8<<10, 0, true, 2)
+	pt, err := a7Point(scenario.A7Table("64K/8K", 64<<10, 8<<10, 0, true, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +34,13 @@ func TestA7CrashRun(t *testing.T) {
 }
 
 // TestA7Deterministic: the same seed reproduces identical timings even at
-// a high fault rate; a7Run draws every fault from the cluster PRNG.
+// a high fault rate; the table draws every fault from the cluster PRNG.
 func TestA7Deterministic(t *testing.T) {
-	a, err := a7Run("64K/8K", 64<<10, 8<<10, 20, false, 7)
+	a, err := a7Point(scenario.A7Table("64K/8K", 64<<10, 8<<10, 20, false, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := a7Run("64K/8K", 64<<10, 8<<10, 20, false, 7)
+	b, err := a7Point(scenario.A7Table("64K/8K", 64<<10, 8<<10, 20, false, 7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"procmig/internal/kernel"
 	"procmig/internal/netsim"
 	"procmig/internal/obs"
+	"procmig/internal/scenario"
 	"procmig/internal/sim"
 	"procmig/internal/vm"
 )
@@ -50,7 +51,7 @@ func A10Observability() (*A10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.InstallVM("/bin/a10hog", a6HogSrc(128<<10, 8<<10)); err != nil {
+	if err := c.InstallVM("/bin/a10hog", scenario.HogSrc(128<<10, 8<<10)); err != nil {
 		return nil, err
 	}
 	var status int
@@ -72,11 +73,7 @@ func A10Observability() (*A10Result, error) {
 			return
 		}
 		status = mig.AwaitExit(tk)
-		for _, name := range c.Names() {
-			for _, p := range c.Machine(name).Procs() {
-				c.Machine(name).Kill(kernel.Creds{}, p.PID, kernel.SIGKILL)
-			}
-		}
+		c.KillAll()
 	})
 	if err := c.Run(); err != nil {
 		return nil, err
@@ -149,20 +146,6 @@ func A10Observability() (*A10Result, error) {
 	return res, nil
 }
 
-// a10Sink assembles the far side of the alloc-measurement stream.
-type a10Sink struct {
-	asm *core.ImageAssembler
-	err error
-}
-
-func (s *a10Sink) Chunk(_ *sim.Task, rec []byte) {
-	if s.err == nil {
-		s.err = s.asm.Apply(rec)
-	}
-}
-func (s *a10Sink) Done(_ *sim.Task) []byte { return core.EncodeStreamStatus(0) }
-func (s *a10Sink) Abort(_ *sim.Task)       {}
-
 // a10SendAllocs measures steady-state SendRound heap allocations over a
 // real netsim stream — the same loop BenchmarkAssembler pins at ≤2
 // allocs/op — optionally with the full metrics instrumentation attached
@@ -177,14 +160,14 @@ func a10SendAllocs(instrumented bool) (float64, error) {
 	for i := range data {
 		data[i] = byte(i >> 2)
 	}
-	var sink *a10Sink
+	var sink *imageSink
 	dstHost, _ := net.Host("dst")
 	dstHost.ListenStream(9, func(_ *sim.Task, _ string, hello []byte) (netsim.StreamSink, error) {
 		asm, err := core.NewImageAssembler(hello)
 		if err != nil {
 			return nil, err
 		}
-		sink = &a10Sink{asm: asm}
+		sink = &imageSink{asm: asm}
 		return sink, nil
 	})
 	cpu := vm.New(text, data, vm.MinISA(text))

@@ -3,13 +3,14 @@ package experiments
 import (
 	"testing"
 
+	"procmig/internal/scenario"
 	"procmig/internal/sim"
 )
 
 // TestA8SingleRun: a clean-network crash recovers the protected hog on
 // the buddy with lost work inside one checkpoint interval.
 func TestA8SingleRun(t *testing.T) {
-	pt, err := a8Run(2*sim.Second, 0, 1)
+	pt, err := a8Point(scenario.A8Table(2*sim.Second, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestA8SingleRun(t *testing.T) {
 // recovers exactly one live copy (retries and generation resyncs do the
 // work).
 func TestA8LossyRun(t *testing.T) {
-	pt, err := a8Run(2*sim.Second, 20, 3)
+	pt, err := a8Point(scenario.A8Table(2*sim.Second, 20, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +44,11 @@ func TestA8LossyRun(t *testing.T) {
 // TestA8Deterministic: the same seed reproduces the same recovery timings
 // and counter arithmetic at a high drop rate.
 func TestA8Deterministic(t *testing.T) {
-	a, err := a8Run(2*sim.Second, 20, 7)
+	a, err := a8Point(scenario.A8Table(2*sim.Second, 20, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := a8Run(2*sim.Second, 20, 7)
+	b, err := a8Point(scenario.A8Table(2*sim.Second, 20, 7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"procmig/internal/cluster"
 	"procmig/internal/controller"
 	"procmig/internal/ha"
 	"procmig/internal/kernel"
 	"procmig/internal/load"
 	"procmig/internal/obs"
 	"procmig/internal/sim"
-	"procmig/internal/vm"
 )
 
 // A15: the client's view of a drain. The paper prices migration in
@@ -126,21 +124,17 @@ func A15SLI(cfg A15Config) (*A15Result, error) {
 	res := &A15Result{
 		Hosts: cfg.Hosts, Replicas: cfg.Replicas, DataKiB: cfg.DataKiB, Seed: cfg.Seed,
 	}
-	for _, mode := range []string{"stop", "precopy", "store"} {
-		run, events, virtual, err := a15Run(cfg, mode)
+	for _, m := range []struct {
+		mode string
+		out  *A15Mode
+	}{{"stop", &res.Stop}, {"precopy", &res.Precopy}, {"store", &res.Store}} {
+		run, events, virtual, err := a15Run(cfg, m.mode)
 		if err != nil {
-			return nil, fmt.Errorf("a15 %s: %w", mode, err)
+			return nil, fmt.Errorf("a15 %s: %w", m.mode, err)
 		}
+		*m.out = *run
 		res.Events += events
 		res.VirtualTime += virtual
-		switch mode {
-		case "stop":
-			res.Stop = *run
-		case "precopy":
-			res.Precopy = *run
-		case "store":
-			res.Store = *run
-		}
 	}
 
 	// The gates. A drain interrupts service in every design, so each
@@ -174,15 +168,12 @@ func A15SLI(cfg A15Config) (*A15Result, error) {
 
 // a15Run is one mode's full scenario on a fresh cluster.
 func a15Run(cfg A15Config, mode string) (*A15Mode, int64, float64, error) {
-	specs := make([]cluster.HostSpec, cfg.Hosts)
-	for i := range specs {
-		specs[i] = cluster.HostSpec{Name: fmt.Sprintf("h%03d", i), ISA: vm.ISA1}
-	}
-	c, err := cluster.New(cluster.Options{Hosts: specs, Config: kernel.Config{TrackNames: true}})
+	f, err := newFleet(cfg.Hosts, cfg.Seed)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	c.Eng.Seed(cfg.Seed)
+	defer f.Close()
+	c := f.c
 	switch mode {
 	case "stop":
 		c.SetMigrationClassic(true)
@@ -192,93 +183,30 @@ func a15Run(cfg A15Config, mode string) (*A15Mode, int64, float64, error) {
 	case "store":
 		// Stores come up lazily at the default budget; nothing to do.
 	}
+	execStorm := a14ExecStorm(cfg.Replicas, cfg.DataKiB)
 	// The replica program is A14's: an incompressible LCG-filled working
 	// set with a once-a-second dirtying beat — enough dirty pages that
-	// pre-copy has real deltas to chase.
-	if err := c.InstallVM(a15Path, a14Src(cfg.DataKiB)); err != nil {
-		return nil, 0, 0, err
-	}
-	// Guardians stay out of the way: no Protect, and a checkpoint period
-	// longer than the run so HA only carries membership.
-	if err := c.StartHA(ha.Config{Interval: sim.Second, CkptInterval: 600 * sim.Second}); err != nil {
-		return nil, 0, 0, err
-	}
-	period := 2 * sim.Second
-	execStorm := sim.Duration(cfg.Replicas*cfg.DataKiB)*5*sim.Millisecond +
-		sim.Duration(cfg.Replicas)*100*sim.Millisecond
-	ctl, err := c.StartController("h000", controller.Config{
-		Period: period, MaxActionsPerRound: cfg.Replicas + 8, DrainWave: a14DrainWave,
-		SpawnGrace: execStorm + 10*sim.Second,
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-
-	var procs []*kernel.Proc // census scratch
-	census := func() (int, map[string]int) {
-		total, per := 0, map[string]int{}
-		for _, hn := range c.Names() {
-			if c.NetHost(hn).Down() {
-				continue
-			}
-			procs = c.Machine(hn).AppendProcs(procs[:0])
-			for _, p := range procs {
-				if p.State == kernel.ProcRunning && (p.Cmd == a15Path || p.Migrated) {
-					total++
-					per[hn]++
-				}
-			}
-		}
-		return total, per
-	}
-	stepUntil := func(phase string, budget sim.Duration, ok func() bool) (sim.Duration, error) {
-		from := c.Eng.Now()
-		for {
-			if ok() {
-				return sim.Duration(c.Eng.Now() - from), nil
-			}
-			if sim.Duration(c.Eng.Now()-from) >= budget {
-				total, _ := census()
-				return 0, fmt.Errorf("%s did not converge within %v (running %d, want %d, status %+v)",
-					phase, budget, total, cfg.Replicas, ctl.Status())
-			}
-			if err := c.RunUntil(c.Eng.Now() + sim.Time(period)); err != nil {
-				return 0, err
-			}
-		}
-	}
-
-	// Warm-up: gossip membership before the controller starts placing.
-	if err := c.RunUntil(c.Eng.Now() + sim.Time(10*sim.Second)); err != nil {
+	// pre-copy has real deltas to chase. Guardians stay out of the way:
+	// no Protect, and a checkpoint period longer than the run so HA only
+	// carries membership.
+	if err := f.start(a15Path, a14Src(cfg.DataKiB), cfg.Replicas,
+		ha.Config{Interval: sim.Second, CkptInterval: 600 * sim.Second},
+		controller.Config{
+			Period: 2 * sim.Second, MaxActionsPerRound: cfg.Replicas + 8, DrainWave: a14DrainWave,
+			SpawnGrace: execStorm + 10*sim.Second,
+		}); err != nil {
 		return nil, 0, 0, err
 	}
 
 	run := &A15Mode{Mode: mode}
 
-	// Phase 1: rollout. Bin-packing with MaxPerHost == Replicas stacks
-	// the whole app on one host, which the drain will then hit.
-	if err := ctl.Submit(controller.AppSpec{
-		Name: "sli", Path: a15Path, Replicas: cfg.Replicas,
-		Policy: "binpack", MaxPerHost: cfg.Replicas,
-		Avoid: []string{"h000"},
-	}); err != nil {
+	// Phase 1: rollout, the whole app packed on the one host the drain
+	// will then hit. Unlike A13 and A14, this run does not audit the
+	// replica count per step: at 200 hosts the controller respawns part
+	// of a first batch it has not yet sighted, and the census briefly
+	// counts the doubles.
+	if run.PackHost, _, err = f.rolloutPacked("sli", false, 2*execStorm+60*sim.Second, unaudited); err != nil {
 		return nil, 0, 0, err
-	}
-	converged := func() bool {
-		total, _ := census()
-		return ctl.Converged() && total == cfg.Replicas
-	}
-	if _, err := stepUntil("rollout", 2*execStorm+60*sim.Second, converged); err != nil {
-		return nil, 0, 0, err
-	}
-	_, per := census()
-	for hn, n := range per {
-		if n == cfg.Replicas {
-			run.PackHost = hn
-		}
-	}
-	if run.PackHost == "" {
-		return nil, 0, 0, fmt.Errorf("rollout did not pack all %d replicas on one host: %v", cfg.Replicas, per)
 	}
 
 	// Phase 2: aim one synthetic client at each replica. The lineage
@@ -288,7 +216,7 @@ func a15Run(cfg A15Config, mode string) (*A15Mode, int64, float64, error) {
 	for _, hn := range c.Names() {
 		machines = append(machines, c.Machine(hn))
 	}
-	app, ok := ctl.App("sli")
+	app, ok := f.ctl.App("sli")
 	if !ok || len(app.Replicas) != cfg.Replicas {
 		return nil, 0, 0, fmt.Errorf("app status lost the replicas: %+v", app)
 	}
@@ -309,35 +237,20 @@ func a15Run(cfg A15Config, mode string) (*A15Mode, int64, float64, error) {
 
 	// Baseline under load: the histograms learn what "healthy" means
 	// before the drain perturbs anything.
-	if err := c.RunUntil(c.Eng.Now() + sim.Time(10*sim.Second)); err != nil {
+	if err := f.runFor(10 * sim.Second); err != nil {
 		return nil, 0, 0, err
 	}
 
 	// Phase 3: drain the packed host out from under the clients.
-	if err := c.DrainHost(run.PackHost); err != nil {
+	st, err := f.drain(run.PackHost, cfg.Replicas, 600*sim.Second, unaudited)
+	if err != nil {
 		return nil, 0, 0, err
 	}
-	drained := func() bool {
-		st, ok := ctl.DrainStatus(run.PackHost)
-		if !ok || !st.Done {
-			return false
-		}
-		total, per := census()
-		return ctl.Converged() && total == cfg.Replicas && per[run.PackHost] == 0
-	}
-	if _, err := stepUntil("drain", 600*sim.Second, drained); err != nil {
-		return nil, 0, 0, err
-	}
-	st, _ := ctl.DrainStatus(run.PackHost)
 	run.DrainS = float64(st.Makespan) / float64(sim.Second)
-	if st.Failed != 0 || st.Moved != cfg.Replicas {
-		return nil, 0, 0, fmt.Errorf("drain of %s moved %d/%d replicas, %d failed",
-			run.PackHost, st.Moved, cfg.Replicas, st.Failed)
-	}
 
 	// Settle under load on the new placement, then stop the arrival
 	// schedules and let the backlog serve out.
-	if err := c.RunUntil(c.Eng.Now() + sim.Time(10*sim.Second)); err != nil {
+	if err := f.runFor(10 * sim.Second); err != nil {
 		return nil, 0, 0, err
 	}
 	for _, g := range gens {
@@ -351,7 +264,7 @@ func a15Run(cfg A15Config, mode string) (*A15Mode, int64, float64, error) {
 		}
 		return true
 	}
-	if _, err := stepUntil("load drain", 2*a15Timeout, drainedGens); err != nil {
+	if _, err := f.stepUntil("load drain", 2*a15Timeout, unaudited, drainedGens); err != nil {
 		return nil, 0, 0, err
 	}
 
@@ -378,6 +291,6 @@ func a15Run(cfg A15Config, mode string) (*A15Mode, int64, float64, error) {
 			run.Submitted, run.Completed, run.Dropped)
 	}
 
-	stats := c.Eng.Stats()
-	return run, stats.Dispatched, float64(c.Eng.Now()) / float64(sim.Second), nil
+	events, virtual := f.totals()
+	return run, events, virtual, nil
 }

@@ -147,21 +147,22 @@ func a9Fill(data []byte, entropy string, rng *uint64) {
 	}
 }
 
-// a9Sink is the destination of one synthetic transfer: a plain image
-// assembler whose Done spools the dump files in memory.
-type a9Sink struct {
+// imageSink is the destination of one synthetic transfer (A9's, and
+// A10's alloc measurement): a plain image assembler whose Done spools the
+// dump files in memory.
+type imageSink struct {
 	asm         *core.ImageAssembler
 	aout, stack []byte
 	err         error
 }
 
-func (s *a9Sink) Chunk(_ *sim.Task, rec []byte) {
+func (s *imageSink) Chunk(_ *sim.Task, rec []byte) {
 	if s.err == nil {
 		s.err = s.asm.Apply(rec)
 	}
 }
 
-func (s *a9Sink) Done(_ *sim.Task) []byte {
+func (s *imageSink) Done(_ *sim.Task) []byte {
 	if s.err != nil {
 		return core.EncodeStreamStatus(-1)
 	}
@@ -184,13 +185,13 @@ func a9Transfer(cfg A9Config, mode core.WireMode) (*A9Run, error) {
 	src := net.AddHost("a9src")
 	dst := net.AddHost("a9dst")
 
-	var sink *a9Sink
+	var sink *imageSink
 	if err := dst.ListenStream(a9Port, func(_ *sim.Task, _ string, hello []byte) (netsim.StreamSink, error) {
 		asm, err := core.NewImageAssembler(hello)
 		if err != nil {
 			return nil, err
 		}
-		sink = &a9Sink{asm: asm}
+		sink = &imageSink{asm: asm}
 		return sink, nil
 	}); err != nil {
 		return nil, err

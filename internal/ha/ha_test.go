@@ -113,11 +113,7 @@ func bootHA(t *testing.T, cfg ha.Config, names ...string) *cluster.Cluster {
 
 func killAll(c *cluster.Cluster) {
 	c.StopHA()
-	for _, name := range c.Names() {
-		for _, p := range c.Machine(name).Procs() {
-			c.Machine(name).Kill(kernel.Creds{}, p.PID, kernel.SIGKILL)
-		}
-	}
+	c.KillAll()
 }
 
 // TestHeartbeatViewConverges: after a few beacon intervals every node sees

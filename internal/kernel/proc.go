@@ -443,6 +443,15 @@ func (p *Proc) deliverSignals() bool {
 	return caught
 }
 
+// KillAll posts SIGKILL, as the superuser, to every live process in pid
+// order. It walks a snapshot of the table, so processes that exit while
+// it runs do not disturb the order.
+func (m *Machine) KillAll() {
+	for _, p := range m.Procs() {
+		m.Kill(Creds{}, p.PID, SIGKILL)
+	}
+}
+
 // Kill posts sig to the target process, with the BSD permission check:
 // the superuser, or a sender whose real or effective uid matches the
 // target's real or effective uid.

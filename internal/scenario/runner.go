@@ -104,16 +104,14 @@ func Run(sc *Scenario) (*Result, error) {
 	if err := validate(sc); err != nil {
 		return nil, err
 	}
-	var specs []cluster.HostSpec
-	for _, h := range sc.Hosts {
-		specs = append(specs, cluster.HostSpec{Name: h, ISA: vm.ISA1})
-	}
-	c, err := cluster.New(cluster.Options{Hosts: specs, Config: kernel.Config{TrackNames: true}})
+	c, err := cluster.NewSimple(sc.Hosts...)
 	if err != nil {
 		return nil, err
 	}
-	// Boot parity with the hand-coded experiments: the stock test program
-	// is installed before the seed is applied, workload programs after.
+	defer c.Eng.Close() // a run that fails midway leaves tasks parked
+	// Boot order, which the golden A7/A8 cells depend on: the stock test
+	// program is installed before the seed is applied, workload programs
+	// after.
 	if err := c.InstallVM("/bin/counter", cluster.TestProgramSrc); err != nil {
 		return nil, err
 	}
@@ -317,11 +315,7 @@ func (r *runner) drive(tk *sim.Task) error {
 		if r.sc.HA != nil {
 			c.StopHA()
 		}
-		for _, name := range c.Names() {
-			for _, p := range r.procsOn(name) {
-				c.Machine(name).Kill(kernel.Creds{}, p.PID, kernel.SIGKILL)
-			}
-		}
+		c.KillAll()
 	}()
 	for _, w := range r.sc.Workloads {
 		p, err := c.Spawn(w.Host, nil, user, binPath(w))
@@ -668,8 +662,8 @@ type migOutcome struct {
 	srcPID int
 }
 
-// startMigration spawns rmigrate for one workload, exactly as the A7
-// driver does (same client host, same argument order).
+// startMigration spawns rmigrate for one workload on the event's client
+// host, with the argument order the golden A7 cells were recorded with.
 func (r *runner) startMigration(tk *sim.Task, ev Event) (*kernel.Proc, *migOutcome, error) {
 	rf := r.refs[ev.Workload]
 	from := rf.home

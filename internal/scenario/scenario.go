@@ -6,9 +6,9 @@
 // quiesce. The same seed replays the same run bit for bit, so a failing
 // chaos run is reproduced by re-running its emitted artifact.
 //
-// The hand-coded fault experiments (A7, A8) are expressible as scenario
-// tables — tables.go builds them — which is the proof that the DSL
-// subsumes the bespoke harness code it replaces.
+// The fault experiments A7 and A8 are scenario tables — tables.go builds
+// them — and package experiments runs its A7/A8 sweeps from those tables
+// alone; there is no hand-coded twin.
 package scenario
 
 import (
@@ -319,7 +319,8 @@ func Decode(raw []byte) (*Scenario, error) {
 }
 
 // HogSrc is the A6 memory hog: touch a working set of wsBytes once per
-// 1 KiB page, forever, inside an image of totalBytes.
+// 1 KiB page, forever, inside an image of totalBytes — a large image with
+// a smaller active working set, the case pre-copy is designed for.
 func HogSrc(totalBytes, wsBytes int) string {
 	return fmt.Sprintf(`
 start:  movi r2, ws

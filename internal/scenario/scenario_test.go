@@ -1,11 +1,13 @@
 package scenario_test
 
 import (
+	"encoding/json"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
 
-	"procmig/internal/experiments"
 	"procmig/internal/scenario"
 	"procmig/internal/sim"
 )
@@ -65,77 +67,147 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// --- A7/A8 equivalence --------------------------------------------------------
+// --- A7/A8 golden tables -------------------------------------------------------
 
-// TestA7TableEquivalence holds the scenario re-expression of A7 to the
-// hand-coded sweep: same seed, same per-cell outcomes, bit for bit.
-func TestA7TableEquivalence(t *testing.T) {
-	const seed = 1
-	pts, err := experiments.A7FaultSweep(seed)
+// a7Golden is every cell of A7Tables(1), in order, as recorded before the
+// hand-coded A7 sweep was deleted (the tables matched it bit for bit):
+// committed, migrated, live copies, then total and freeze in µs.
+var a7Golden = []struct {
+	committed, migrated bool
+	live                int
+	total, freeze       sim.Duration
+}{
+	{true, true, 1, 2866173, 833902},   // a7-64K/8K-drop0-crashfalse
+	{true, true, 1, 16019322, 835678},  // a7-64K/8K-drop5-crashfalse
+	{true, true, 1, 12107949, 835678},  // a7-64K/8K-drop10-crashfalse
+	{true, true, 1, 28870712, 3838441}, // a7-64K/8K-drop20-crashfalse
+	{false, false, 1, 74790717, 0},     // a7-64K/8K-drop0-crashtrue
+	{true, true, 1, 8934597, 2228470},  // a7-256K/16K-drop0-crashfalse
+	{true, true, 1, 24937027, 2230900}, // a7-256K/16K-drop5-crashfalse
+	{true, true, 1, 42434353, 5354681}, // a7-256K/16K-drop10-crashfalse
+	{true, true, 1, 74825941, 7359818}, // a7-256K/16K-drop20-crashfalse
+	{false, false, 1, 74777597, 0},     // a7-256K/16K-drop0-crashtrue
+}
+
+// a8Golden is every cell of A8Tables(1), recorded the same way:
+// checkpoints, resumed, live copies, then recovery and lost work in µs.
+var a8Golden = []struct {
+	ckpts          int
+	resumed        bool
+	live           int
+	recovery, lost sim.Duration
+}{
+	{2, true, 1, 5500000, 959998},  // a8-iv2.000s-drop0
+	{2, true, 1, 5500000, 959998},  // a8-iv2.000s-drop10
+	{2, true, 1, 4250000, 0},       // a8-iv2.000s-drop20
+	{2, true, 1, 5000000, 2459996}, // a8-iv5.000s-drop0
+	{2, true, 1, 4750000, 2459996}, // a8-iv5.000s-drop10
+	{2, true, 1, 3000000, 2439994}, // a8-iv5.000s-drop20
+}
+
+// goldenResults runs one sweep's tables at seed 1 ("a7" or "a8") in a
+// fresh copy of this test binary and returns their results in table
+// order. A fresh process is what the recorded cells describe: simulated
+// message sizes depend on encoding/gob's process-global type ids, handed
+// out in first-use order, so tests that ran earlier in this process (the
+// chaos seeds, say) move some cells by a few microseconds.
+func goldenResults(t *testing.T, sweep string) []*scenario.Result {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "results.json")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestGoldenSweepChild$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "GOLDEN_SWEEP="+sweep, "GOLDEN_OUT="+out)
+	if msg, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("%s sweep child: %v\n%s", sweep, err, msg)
+	}
+	raw, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := scenario.A7Tables(seed)
-	if len(tables) != len(pts) {
-		t.Fatalf("%d tables vs %d sweep cells", len(tables), len(pts))
+	var results []*scenario.Result
+	if err := json.Unmarshal(raw, &results); err != nil {
+		t.Fatal(err)
 	}
-	for i, sc := range tables {
-		pt := pts[i]
+	return results
+}
+
+// TestGoldenSweepChild is the fresh process goldenResults starts: it runs
+// the sweep named by GOLDEN_SWEEP and writes the results to GOLDEN_OUT.
+// Run any other way, it skips.
+func TestGoldenSweepChild(t *testing.T) {
+	var tables []*scenario.Scenario
+	switch os.Getenv("GOLDEN_SWEEP") {
+	case "a7":
+		tables = scenario.A7Tables(1)
+	case "a8":
+		tables = scenario.A8Tables(1)
+	default:
+		t.Skip("runs only as the child process of the golden sweep tests")
+	}
+	var results []*scenario.Result
+	for _, sc := range tables {
 		res, err := scenario.Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
+		results = append(results, res)
+	}
+	raw, err := json.Marshal(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(os.Getenv("GOLDEN_OUT"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestA7TableGolden runs the A7 sweep's tables once and holds every cell
+// to its recorded outcome: a table edit, a runner change or a protocol
+// change that moves any migration shows up here.
+func TestA7TableGolden(t *testing.T) {
+	results := goldenResults(t, "a7")
+	if len(results) != len(a7Golden) {
+		t.Fatalf("%d tables ran, %d golden cells", len(results), len(a7Golden))
+	}
+	for i, res := range results {
 		if !res.Passed() {
-			t.Fatalf("%s: %v", sc.Name, res.FirstViolation())
+			t.Fatalf("%s: %v", res.Name, res.FirstViolation())
 		}
 		if len(res.Migrations) != 1 {
-			t.Fatalf("%s: %d migrations, want 1", sc.Name, len(res.Migrations))
+			t.Fatalf("%s: %d migrations, want 1", res.Name, len(res.Migrations))
 		}
-		mig, wl := res.Migrations[0], res.Workloads["hog"]
-		if mig.Committed != pt.Committed || wl.Migrated != pt.Migrated || wl.LiveCopies != pt.LiveCopies {
-			t.Errorf("%s: committed/migrated/live = %v/%v/%d, sweep says %v/%v/%d",
-				sc.Name, mig.Committed, wl.Migrated, wl.LiveCopies,
-				pt.Committed, pt.Migrated, pt.LiveCopies)
+		mig, wl, want := res.Migrations[0], res.Workloads["hog"], a7Golden[i]
+		if mig.Committed != want.committed || wl.Migrated != want.migrated || wl.LiveCopies != want.live {
+			t.Errorf("%s: committed/migrated/live = %v/%v/%d, golden %v/%v/%d",
+				res.Name, mig.Committed, wl.Migrated, wl.LiveCopies, want.committed, want.migrated, want.live)
 		}
-		if mig.Total != pt.Total || mig.Freeze != pt.Freeze {
-			t.Errorf("%s: total/freeze = %v/%v, sweep says %v/%v — the runs diverged",
-				sc.Name, mig.Total, mig.Freeze, pt.Total, pt.Freeze)
+		if mig.Total != want.total || mig.Freeze != want.freeze {
+			t.Errorf("%s: total/freeze = %d/%d µs, golden %d/%d",
+				res.Name, mig.Total, mig.Freeze, want.total, want.freeze)
 		}
 	}
 }
 
-// TestA8TableEquivalence: same for the recovery sweep.
-func TestA8TableEquivalence(t *testing.T) {
-	const seed = 1
-	pts, err := experiments.A8FaultSweep(seed)
-	if err != nil {
-		t.Fatal(err)
+// TestA8TableGolden: the same for the recovery sweep's tables.
+func TestA8TableGolden(t *testing.T) {
+	results := goldenResults(t, "a8")
+	if len(results) != len(a8Golden) {
+		t.Fatalf("%d tables ran, %d golden cells", len(results), len(a8Golden))
 	}
-	tables := scenario.A8Tables(seed)
-	if len(tables) != len(pts) {
-		t.Fatalf("%d tables vs %d sweep cells", len(tables), len(pts))
-	}
-	for i, sc := range tables {
-		pt := pts[i]
-		res, err := scenario.Run(sc)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
+	for i, res := range results {
 		if !res.Passed() {
-			t.Fatalf("%s: %v", sc.Name, res.FirstViolation())
+			t.Fatalf("%s: %v", res.Name, res.FirstViolation())
 		}
 		if len(res.Recoveries) != 1 {
-			t.Fatalf("%s: %d recoveries, want 1", sc.Name, len(res.Recoveries))
+			t.Fatalf("%s: %d recoveries, want 1", res.Name, len(res.Recoveries))
 		}
-		rec, wl := res.Recoveries[0], res.Workloads["hog"]
-		if rec.Checkpoints != pt.Checkpoints || rec.Resumed != pt.Resumed || wl.LiveCopies != pt.LiveCopies {
-			t.Errorf("%s: ckpts/resumed/live = %d/%v/%d, sweep says %d/%v/%d",
-				sc.Name, rec.Checkpoints, rec.Resumed, wl.LiveCopies,
-				pt.Checkpoints, pt.Resumed, pt.LiveCopies)
+		rec, wl, want := res.Recoveries[0], res.Workloads["hog"], a8Golden[i]
+		if rec.Checkpoints != want.ckpts || rec.Resumed != want.resumed || wl.LiveCopies != want.live {
+			t.Errorf("%s: ckpts/resumed/live = %d/%v/%d, golden %d/%v/%d",
+				res.Name, rec.Checkpoints, rec.Resumed, wl.LiveCopies, want.ckpts, want.resumed, want.live)
 		}
-		if rec.Recovery != pt.Recovery || rec.LostWork != pt.LostWork {
-			t.Errorf("%s: recovery/lostwork = %v/%v, sweep says %v/%v — the runs diverged",
-				sc.Name, rec.Recovery, rec.LostWork, pt.Recovery, pt.LostWork)
+		if rec.Recovery != want.recovery || rec.LostWork != want.lost {
+			t.Errorf("%s: recovery/lost work = %d/%d µs, golden %d/%d",
+				res.Name, rec.Recovery, rec.LostWork, want.recovery, want.lost)
 		}
 	}
 }

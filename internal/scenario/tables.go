@@ -8,12 +8,11 @@ import (
 	"procmig/internal/sim"
 )
 
-// This file re-expresses the hand-coded fault experiments as scenario
-// tables. The events mirror the bespoke drivers step for step — same
-// boot order, same sleeps, same poll cadences, same rmigrate argument
-// order — so a given seed produces the same PRNG draw sequence and
-// therefore the same per-seed outcome as the original. The equivalence
-// tests in tables_test.go hold the two implementations to that.
+// This file holds the fault experiments A7 and A8 as scenario tables;
+// experiments.A7FaultSweep and A8FaultSweep run them. The golden tests in
+// scenario_test.go hold every cell at seed 1 to recorded values, so an
+// edit here that moves any PRNG draw — boot order, a sleep, a poll
+// cadence, rmigrate's argument order — shows up there.
 
 // A7Table is one cell of the A7 matrix (migration under network faults)
 // as a scenario: a memory hog on alpha migrated to beta by a client on
@@ -47,9 +46,8 @@ func A7Table(label string, totalBytes, wsBytes, dropPct int, crash bool, seed ui
 	return sc
 }
 
-// A7Tables builds the whole A7 sweep with the same per-cell seed
-// derivation as experiments.A7FaultSweep — cell i of the sweep and
-// scenario i of this slice see identical worlds.
+// A7Tables builds the whole A7 sweep, each cell seeded from seed and its
+// position.
 func A7Tables(seed uint64) []*Scenario {
 	sizes := []struct {
 		Label     string
@@ -110,8 +108,7 @@ func A8Table(interval sim.Duration, dropPct int, seed uint64) *Scenario {
 	return sc
 }
 
-// A8Tables builds the whole A8 sweep with the same per-cell seed
-// derivation as experiments.A8FaultSweep.
+// A8Tables builds the whole A8 sweep, seeded like A7Tables.
 func A8Tables(seed uint64) []*Scenario {
 	intervals := []sim.Duration{2 * sim.Second, 5 * sim.Second}
 	drops := []int{0, 10, 20}

@@ -3,13 +3,14 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
 // The tests below pin what running task bodies as coroutines promises:
 // a task's panic reaches the RunUntil caller, a spawned body stays
-// unstarted until its first dispatch, and a stopped run resumes from any
-// goroutine.
+// unstarted until its first dispatch, a stopped run resumes from any
+// goroutine, and Close releases every task a stopped run left parked.
 
 type taskPanic struct{ code int }
 
@@ -118,4 +119,70 @@ func TestRunUntilResumesFromAnotherGoroutine(t *testing.T) {
 	if st := e.Stats(); st.Dispatched != 7 {
 		t.Fatalf("dispatched %d, want 7", st.Dispatched)
 	}
+}
+
+// TestCloseUnwindsParkedTasks: after a run stops at its limit, Close ends
+// every task — parked in Wait, in Sleep, or never dispatched — runs the
+// parked bodies' deferred calls (one of which parks again, another of
+// which spawns a task), and gives back every task's goroutine.
+func TestCloseUnwindsParkedTasks(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	var q Queue
+	const n = 200
+	unwound, spawnedRan, lateRan := 0, false, false
+	for i := 0; i < n; i++ {
+		e.Go("waiter", func(tk *Task) {
+			defer func() { unwound++ }()
+			tk.Wait(&q)
+			t.Error("waiter resumed past its Wait")
+		})
+	}
+	e.Go("sleeper", func(tk *Task) {
+		defer func() { unwound++ }()
+		defer tk.Sleep(Second) // parks again while unwinding
+		defer e.Go("spawned", func(*Task) { spawnedRan = true })
+		tk.Sleep(100 * Second)
+	})
+	e.GoAfter("late", 100*Second, func(*Task) { lateRan = true })
+	if err := e.RunUntil(Time(Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine() - base; got < n {
+		t.Fatalf("only %d extra goroutines with %d parked tasks", got, n+2)
+	}
+	st := e.Stats()
+	e.Close()
+	if unwound != n+1 || spawnedRan || lateRan {
+		t.Fatalf("unwound %d bodies (want %d); spawned ran %v, late ran %v",
+			unwound, n+1, spawnedRan, lateRan)
+	}
+	if len(e.tasks) != 0 || e.nlive != 0 || e.Stats().Dispatched != st.Dispatched {
+		t.Fatalf("after Close: %d tasks, nlive %d, dispatched %d (before %d)",
+			len(e.tasks), e.nlive, e.Stats().Dispatched, st.Dispatched)
+	}
+	if got := runtime.NumGoroutine() - base; got > 2 {
+		t.Fatalf("%d goroutines left after Close", got)
+	}
+}
+
+// TestCloseRepanicsForeignPanic: a deferred call that panics with its own
+// value while Close unwinds its body surfaces from Close, not swallowed.
+func TestCloseRepanicsForeignPanic(t *testing.T) {
+	e := NewEngine()
+	want := &taskPanic{code: 9}
+	e.Go("bad", func(tk *Task) {
+		defer func() { panic(want) }()
+		tk.Sleep(100 * Second)
+	})
+	if err := e.RunUntil(Time(Second)); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if p := recover(); p != want {
+			t.Fatalf("Close panicked with %#v, want %#v", p, want)
+		}
+	}()
+	e.Close()
+	t.Fatal("Close returned after a foreign panic")
 }

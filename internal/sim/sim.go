@@ -113,6 +113,7 @@ type Engine struct {
 	current  *Task
 	rng      uint64 // splitmix64 state, see rand.go
 	stats    Stats
+	closed   bool // set by Close; a parking task then unwinds
 }
 
 // Current returns the task that is currently executing, or nil when called
@@ -232,10 +233,11 @@ type Task struct {
 	// resume runs the task's coroutine until it parks, reporting the
 	// dispatch it popped for another task, or until its body returns (ok
 	// false). yield, called inside the coroutine, hands such a dispatch to
-	// the driver and suspends the task. cause is why the driver last
-	// resumed it.
+	// the driver and suspends the task. stop ends the coroutine for Close.
+	// cause is why the driver last resumed it.
 	resume func() (d dispatch, ok bool)
 	yield  func(dispatch) bool
+	stop   func()
 	cause  wakeCause
 
 	// waiting state, valid while parked in Wait/WaitTimeout
